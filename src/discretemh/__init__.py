@@ -12,13 +12,13 @@ from .core import (
     unimodality_stats,
 )
 from .samplers import (
+    AsymmetricNeighborhood,
     ChainTrace,
     KernelSpec,
     acceptance_log_ratio,
     clip_weight,
     hitting_experiment,
     informed_proposal_dist,
-    make_rng,
     run_chain,
     step,
 )
@@ -39,7 +39,6 @@ from .flowbound import (
     congestion,
     drift_certificate,
     enumerate_flow,
-    restricted_congestion,
 )
 
 __all__ = [
@@ -51,13 +50,13 @@ __all__ = [
     "tail_mass_bound",
     "KernelSpec",
     "ChainTrace",
+    "AsymmetricNeighborhood",
     "clip_weight",
     "informed_proposal_dist",
     "acceptance_log_ratio",
     "step",
     "run_chain",
     "hitting_experiment",
-    "make_rng",
     "DenseChain",
     "GapReport",
     "build_transition_matrix",
@@ -71,7 +70,6 @@ __all__ = [
     "build_flow_graph",
     "enumerate_flow",
     "congestion",
-    "restricted_congestion",
     "drift_certificate",
     "__version__",
 ]

@@ -12,6 +12,7 @@ certificate check fails, 2 on configuration errors.
 from __future__ import annotations
 
 import argparse
+import copy
 import hashlib
 import json
 import math
@@ -27,8 +28,10 @@ import yaml
 from . import __version__
 from .core import (
     CapExceeded,
+    DiscreteMHError,
     DiscreteTarget,
     enumerate_space,
+    philox_rng,
     restricted_stats,
     unimodality_stats,
 )
@@ -48,7 +51,6 @@ from .samplers import (
     RANDOM_WALK,
     KernelSpec,
     hitting_experiment,
-    make_rng,
     run_chain,
 )
 from . import sbm as sbm_model
@@ -62,25 +64,42 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------------
 # configuration
 
-_SECTION_KEYS = {
+# Every config key with its default, per section and, for the model, per
+# kind; _REQUIRED marks keys without one.  A missing run.init takes the
+# whole default mapping; a partial one is passed on as written and the
+# replicate factories fill in the scheme for their model.
+_REQUIRED = object()
+_SCHEMA = {
     "model": {
-        "kind", "p", "n", "covariance", "g", "kappa", "s_max", "neighborhood",
-        "p_within", "p_between", "space",
+        "varsel": {
+            "kind": _REQUIRED, "p": _REQUIRED, "n": _REQUIRED, "covariance": "moderate",
+            "g": "p^3", "kappa": 1.0, "s_max": None, "neighborhood": "n1",
+        },
+        "sbm": {"kind": _REQUIRED, "p": _REQUIRED, "p_within": _REQUIRED, "p_between": _REQUIRED},
+        "example3": {"kind": _REQUIRED, "space": "v", "neighborhood": "n1"},
     },
-    "kernel": {"family", "ell", "big_l", "lazy"},
+    "kernel": {"family": RANDOM_WALK, "ell": 0, "big_l": "inf", "lazy": False},
     "run": {
-        "n_runs", "budget", "init", "seed", "workers", "stop_early",
-        "fresh_data", "save_trajectories",
+        "n_runs": 1, "budget": 1000, "init": {"scheme": "uniform-m", "m": 0, "n_false": 50},
+        "seed": 0, "workers": 1, "stop_early": True, "fresh_data": True,
+        "save_trajectories": False,
     },
-    "output": {"directory", "formats"},
-    "certify": {"epsilon", "s_threshold", "q", "x0", "enum_cap", "eta", "t_max"},
+    "output": {"directory": "out", "formats": ["csv", "json"]},
+    "certify": {
+        "epsilon": 0.25, "s_threshold": "auto", "q": None, "x0": "all", "enum_cap": 4096,
+        "eta": None, "t_max": 200,
+    },
 }
-_INIT_KEYS = {"scheme", "m", "n_false"}
-_MODEL_KIND_KEYS = {
-    "varsel": {"kind", "p", "n", "covariance", "g", "kappa", "s_max", "neighborhood"},
-    "sbm": {"kind", "p", "p_within", "p_between"},
-    "example3": {"kind", "space", "neighborhood"},
-}
+
+
+def _with_defaults(body: dict, table: dict, kind: str | None = None) -> dict:
+    """Copy of ``body`` with the table's missing defaults appended in order;
+    ``kind`` names the model kind when the table has required keys."""
+    missing = [key for key in table if key not in body]
+    for key in missing:
+        if table[key] is _REQUIRED:
+            raise ConfigError(f"model.{key} is required for {kind}")
+    return {**body, **{key: copy.deepcopy(table[key]) for key in missing}}
 
 
 def _key_lines(text: str) -> dict[str, int]:
@@ -109,27 +128,29 @@ def load_config(path) -> dict:
         raise ConfigError(f"{loc}: unknown key {key!r} in {context}")
 
     for section, body in raw.items():
-        if section not in _SECTION_KEYS:
+        if section not in _SCHEMA:
             complain(section, "top level")
         if body is None:
             continue
         if not isinstance(body, dict):
             raise ConfigError(f"{path}: section {section!r} must be a mapping")
+        table = _SCHEMA[section]
+        allowed = set().union(*table.values()) if section == "model" else table
         for key in body:
-            if key not in _SECTION_KEYS[section]:
+            if key not in allowed:
                 complain(key, f"section {section!r}")
     init = (raw.get("run") or {}).get("init")
     if isinstance(init, dict):
         for key in init:
-            if key not in _INIT_KEYS:
+            if key not in _SCHEMA["run"]["init"]:
                 complain(key, "run.init")
     model = raw.get("model") or {}
     kind = model.get("kind")
     if kind is not None:
-        if kind not in _MODEL_KIND_KEYS:
+        if kind not in _SCHEMA["model"]:
             raise ConfigError(f"{path}: unknown model kind {kind!r}")
         for key in model:
-            if key not in _MODEL_KIND_KEYS[kind]:
+            if key not in _SCHEMA["model"][kind]:
                 complain(key, f"model kind {kind!r}")
     return raw
 
@@ -172,66 +193,35 @@ def resolve_config(raw: dict, seed=None, workers=None, out=None) -> Resolved:
     kind = model.get("kind")
     if kind is None:
         raise ConfigError("model.kind is required")
+    model = _with_defaults(model, _SCHEMA["model"].get(kind, {}), kind)
     if kind == "varsel":
-        for req in ("p", "n"):
-            if req not in model:
-                raise ConfigError(f"model.{req} is required for varsel")
-        model.setdefault("covariance", "moderate")
-        model.setdefault("g", "p^3")
-        model.setdefault("kappa", 1.0)
-        model.setdefault("s_max", None)
-        model.setdefault("neighborhood", "n1")
         model["g"] = resolve_scale(model["g"], model["p"])
-    elif kind == "sbm":
-        for req in ("p", "p_within", "p_between"):
-            if req not in model:
-                raise ConfigError(f"model.{req} is required for sbm")
     elif kind == "example3":
-        model.setdefault("space", "v")
-        model.setdefault("neighborhood", "n1")
         model["p"] = 3
 
-    kernel = dict(raw.get("kernel") or {})
-    family = kernel.get("family", RANDOM_WALK)
+    kernel = _with_defaults(raw.get("kernel") or {}, _SCHEMA["kernel"])
+    family = kernel["family"]
     if family not in (RANDOM_WALK, INFORMED):
         raise ConfigError(f"kernel.family must be random-walk or informed, got {family!r}")
     p_dim = int(model.get("p", 1))
-    ell = resolve_scale(kernel.get("ell", 0), p_dim)
-    big_l = resolve_scale(kernel.get("big_l", "inf"), p_dim)
-    lazy = bool(kernel.get("lazy", False))
+    ell = resolve_scale(kernel["ell"], p_dim)
+    big_l = resolve_scale(kernel["big_l"], p_dim)
     try:
-        spec = KernelSpec(family=family, ell=ell, big_l=big_l, lazy=lazy)
+        spec = KernelSpec(family=family, ell=ell, big_l=big_l, lazy=bool(kernel["lazy"]))
     except Exception as exc:
         raise ConfigError(f"kernel: {exc}") from exc
 
-    run = dict(raw.get("run") or {})
-    run.setdefault("n_runs", 1)
-    run.setdefault("budget", 1000)
-    run.setdefault("init", {"scheme": "uniform-m", "m": 0})
-    run.setdefault("seed", 0)
-    run.setdefault("workers", 1)
-    run.setdefault("stop_early", True)
-    run.setdefault("fresh_data", True)
-    run.setdefault("save_trajectories", False)
+    run = _with_defaults(raw.get("run") or {}, _SCHEMA["run"])
     if seed is not None:
         run["seed"] = seed
     if workers is not None:
         run["workers"] = workers
 
-    output = dict(raw.get("output") or {})
-    out_dir = Path(out) if out is not None else Path(output.get("directory", "out"))
-    formats = list(output.get("formats", ["csv", "json"]))
-
-    certify = dict(raw.get("certify") or {})
-    certify.setdefault("epsilon", 0.25)
-    certify.setdefault("s_threshold", "auto")
-    certify.setdefault("q", None)
-    certify.setdefault("x0", "all")
-    certify.setdefault("enum_cap", 4096)
-    certify.setdefault("eta", None)
-    certify.setdefault("t_max", 200)
+    output = _with_defaults(raw.get("output") or {}, _SCHEMA["output"])
+    out_dir = Path(out) if out is not None else Path(output["directory"])
+    certify = _with_defaults(raw.get("certify") or {}, _SCHEMA["certify"])
     return Resolved(raw=raw, model=model, spec=spec, run=run, out_dir=out_dir,
-                    formats=formats, certify=certify)
+                    formats=list(output["formats"]), certify=certify)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +252,7 @@ class VarselFactory:
             data, truth = self.shared_data, self.shared_truth
         hyper = varsel_model.VarSelHyper(g=self.g, kappa=self.kappa, s_max=self.s_max)
         target = varsel_model.varsel_target(data, hyper, neighborhood=self.neighborhood)
-        rng = make_rng(init_seq)
+        rng = philox_rng(init_seq)
         scheme = self.init.get("scheme", "uniform-m")
         init = varsel_model.init_scheme(
             scheme, self.p, rng, truth=truth,
@@ -285,7 +275,7 @@ class SbmFactory:
         )
         target = sbm_model.sbm_target(data)
         scheme = self.init.get("scheme", "third-wrong")
-        init = sbm_model.sbm_init(scheme, z_star, make_rng(init_seq))
+        init = sbm_model.sbm_init(scheme, z_star, philox_rng(init_seq))
         truth = frozenset([z_star, sbm_model.label_switched(z_star)])
         return target, init, truth
 
@@ -429,7 +419,7 @@ def golden_example4() -> list[Check]:
     ]
 
 
-def golden_example5(record_alternative: bool = True) -> tuple[list[Check], list[str]]:
+def golden_example5() -> tuple[list[Check], list[str]]:
     from .samplers import informed_proposal_dist
 
     target = varsel_model.example3_target("v", "n1")
@@ -443,7 +433,7 @@ def golden_example5(record_alternative: bool = True) -> tuple[list[Check], list[
     checks.append(Check("gap random-walk", gap_rw, GOLDEN5_GAPS[0], 0.005))
     checks.append(Check("gap informed", gap_inf, GOLDEN5_GAPS[1], 0.005))
     notes = []
-    if record_alternative and not all(c.ok for c in checks[1:]):
+    if not all(c.ok for c in checks[1:]):
         alt = varsel_model.example3_target("v2", "n1")
         alt_states = enumerate_space(alt, 16)
         alt_rw = spectral_gap(build_transition_matrix(alt, KernelSpec(RANDOM_WALK), alt_states)).gap
@@ -673,16 +663,20 @@ def cmd_certify(cfg: Resolved, method: str) -> int:
         use_stats = restricted_ctx.stats if restricted else stats
         s_val = cert["s_threshold"]
         s_threshold = _auto_s(cfg.spec, use_stats) if s_val == "auto" else float(s_val)
-        fg = build_flow_graph(chain, s_threshold, x0=x0 if restricted else None)
-        rep = congestion(fg, q=cert["q"], max_degree=stats.m)
-        payload["congestion"] = rep.to_json_dict()
-        gap_name = "restricted gap" if restricted else "gap"
-        gap_val = report.restricted_gap if restricted else report.gap
-        check("flow lower bound", gap_val >= rep.gap_lower_bound * (1 - 1e-9),
-              f"{gap_name} {gap_val:.6g} >= 1/A = {rep.gap_lower_bound:.6g}")
-        if rep.a_closed_form is not None:
-            check("congestion closed form", rep.a_exact <= rep.a_closed_form * (1 + 1e-9),
-                  f"A_exact {rep.a_exact:.6g} <= closed form {rep.a_closed_form:.6g}")
+        try:
+            fg = build_flow_graph(chain, s_threshold, x0=x0 if restricted else None)
+            rep = congestion(fg, q=cert["q"], max_degree=stats.m)
+        except DiscreteMHError as exc:
+            check("flow certificate", False, str(exc))
+        else:
+            payload["congestion"] = rep.to_json_dict()
+            gap_name = "restricted gap" if restricted else "gap"
+            gap_val = report.restricted_gap if restricted else report.gap
+            check("flow lower bound", gap_val >= rep.gap_lower_bound * (1 - 1e-9),
+                  f"{gap_name} {gap_val:.6g} >= 1/A = {rep.gap_lower_bound:.6g}")
+            if rep.a_closed_form is not None:
+                check("congestion closed form", rep.a_exact <= rep.a_closed_form * (1 + 1e-9),
+                      f"A_exact {rep.a_exact:.6g} <= closed form {rep.a_closed_form:.6g}")
     elif method == "drift":
         if cfg.spec.family != INFORMED:
             print("error: drift certificates target informed kernels", file=sys.stderr)
@@ -694,11 +688,9 @@ def cmd_certify(cfg: Resolved, method: str) -> int:
         drift_chain = plain if plain.eigensystem()[0][0] >= -1e-10 else chain
         try:
             cert_obj = drift_certificate(drift_chain)
-        except Exception as exc:
-            print(f"[FAIL] drift certificate: {exc}")
-            failures.append("drift")
-            cert_obj = None
-        if cert_obj is not None:
+        except DiscreteMHError as exc:
+            check("drift certificate", False, str(exc))
+        else:
             payload["drift"] = cert_obj.to_json_dict()
             print(f"[info] drift lambda = {cert_obj.lam:.6g} on {'lazy' if drift_chain.lazy else 'plain'} chain")
             worst = max(states, key=cert_obj.v_of)

@@ -9,7 +9,6 @@ with -inf encoding excluded states.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -153,16 +152,6 @@ def philox_rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def log_normalizer(log_pis: np.ndarray) -> float:
-    """Log of the normalizing constant of unnormalized log probabilities."""
-    return float(logsumexp(log_pis))
-
-
-def normalized_pi(log_pis: np.ndarray) -> np.ndarray:
-    lz = logsumexp(log_pis)
-    return np.exp(log_pis - lz)
-
-
 def unimodality_stats(target: DiscreteTarget, states: Sequence[State]) -> NeighborhoodStats:
     """Max neighborhood size, unimodality ratio and mode of a full enumeration.
 
@@ -295,7 +284,3 @@ def space_summary(target: DiscreteTarget, states: Sequence[State]) -> dict:
         **stats.to_json_dict(),
     }
 
-
-def dump_space_summary(target: DiscreteTarget, states: Sequence[State], path) -> None:
-    with open(path, "w") as fh:
-        json.dump(space_summary(target, states), fh, indent=2)

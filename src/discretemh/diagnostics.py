@@ -26,7 +26,7 @@ from .core import (
     State,
     enumerate_space,
 )
-from .samplers import INFORMED, RANDOM_WALK, KernelSpec, log_clip_weight
+from .samplers import INFORMED, RANDOM_WALK, KernelSpec, log_acceptance, scan_at
 
 EIG_RESIDUAL_RTOL = 1e-9
 
@@ -140,49 +140,22 @@ def build_transition_matrix(
         raise ValueError("need at least two states")
     index = {s: i for i, s in enumerate(states)}
     log_pis = np.array([target.log_pi(s) for s in states])
-
-    scans = []
-    for s in states:
-        ns, lps = target.neighbors_with_log_pi(s)
-        scans.append((ns, lps, {y: k for k, y in enumerate(ns)}))
+    scans = [scan_at(target, s, lp, spec) for s, lp in zip(states, log_pis)]
 
     P = np.zeros((n, n))
-    if spec.family == RANDOM_WALK:
-        sizes = np.array([len(scan[0]) for scan in scans], dtype=float)
-        for i, s in enumerate(states):
-            ns, lps, _ = scans[i]
-            for y, lp_y in zip(ns, lps):
-                j = index.get(y)
-                if j is None or lp_y == -math.inf:
-                    continue
-                log_entry = min(-math.log(sizes[i]),
-                                lp_y - log_pis[i] - math.log(sizes[j]))
-                P[i, j] = math.exp(log_entry)
-    else:
-        log_w = []
-        log_z = []
-        for i in range(n):
-            ns, lps, _ = scans[i]
-            w = log_clip_weight(lps - log_pis[i], spec.ell, spec.big_l)
-            log_w.append(w)
-            log_z.append(logsumexp(w))
-        for i, s in enumerate(states):
-            ns, lps, _ = scans[i]
-            for k, (y, lp_y) in enumerate(zip(ns, lps)):
-                j = index.get(y)
-                if j is None or lp_y == -math.inf:
-                    continue
-                pos = scans[j][2][s]
-                log_k_fwd = log_w[i][k] - log_z[i]
-                log_k_rev = log_w[j][pos] - log_z[j]
-                log_acc = min(0.0, lp_y - log_pis[i] + log_k_rev - log_k_fwd)
-                P[i, j] = math.exp(log_k_fwd + log_acc)
+    for i, sx in enumerate(scans):
+        for k, y in enumerate(sx.neighbors):
+            j = index.get(y)
+            if j is None:
+                continue
+            log_acc = min(0.0, log_acceptance(sx, scans[j], k))
+            P[i, j] = math.exp(sx.log_k(k) + log_acc)
 
     np.fill_diagonal(P, 0.0)
     P[np.arange(n), np.arange(n)] = np.maximum(1.0 - P.sum(axis=1), 0.0)
     if spec.lazy:
         P = 0.5 * (P + np.eye(n))
-    max_degree = max(len(scan[0]) for scan in scans)
+    max_degree = max(len(sx.neighbors) for sx in scans)
     chain = DenseChain(states, P, log_pis, spec, name=target.name, max_degree=max_degree)
     chain.validate()
     return chain
@@ -296,42 +269,34 @@ def tv_curve(chain: DenseChain, init: State, t_max: int) -> TVCurve:
     return TVCurve(tv=out)
 
 
-def tau_x(chain: DenseChain, x: State, epsilon: float, t_cap: int = 1_000_000) -> int | None:
-    """First t with TV from ``x`` at most epsilon (TV is monotone in t)."""
-    if chain.tv_from(x, 0) <= epsilon:
+def _first_time(tv_at, epsilon: float, t_cap: int) -> int | None:
+    """First t with ``tv_at(t)`` at most epsilon, by doubling then bisection
+    (TV is monotone in t); None once the doubling passes ``t_cap``."""
+    if tv_at(0) <= epsilon:
         return 0
     hi = 1
-    while chain.tv_from(x, hi) > epsilon:
+    while tv_at(hi) > epsilon:
         hi *= 2
         if hi > t_cap:
             return None
     lo = hi // 2
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if chain.tv_from(x, mid) <= epsilon:
+        if tv_at(mid) <= epsilon:
             hi = mid
         else:
             lo = mid
     return hi
+
+
+def tau_x(chain: DenseChain, x: State, epsilon: float, t_cap: int = 1_000_000) -> int | None:
+    """First t with TV from ``x`` at most epsilon."""
+    return _first_time(lambda t: chain.tv_from(x, t), epsilon, t_cap)
 
 
 def mixing_time(chain: DenseChain, epsilon: float, t_cap: int = 1_000_000) -> int | None:
     """Worst-case mixing time over all initial states."""
-    if float(chain.tv_all(0).max()) <= epsilon:
-        return 0
-    hi = 1
-    while float(chain.tv_all(hi).max()) > epsilon:
-        hi *= 2
-        if hi > t_cap:
-            return None
-    lo = hi // 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if float(chain.tv_all(mid).max()) <= epsilon:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _first_time(lambda t: float(chain.tv_all(t).max()), epsilon, t_cap)
 
 
 def expected_hitting_time(chain: DenseChain, target_state: State) -> np.ndarray:

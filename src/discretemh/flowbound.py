@@ -414,18 +414,6 @@ def _congestion_dp(fg: FlowGraph, q: float):
     return a_exact, worst
 
 
-def restricted_congestion(
-    chain: DenseChain,
-    x0,
-    s_threshold: float,
-    q: float | None = None,
-    method: str = "auto",
-) -> CongestionReport:
-    """Congestion of the flow restricted to a subset's uphill edges."""
-    fg = build_flow_graph(chain, s_threshold, x0=x0)
-    return congestion(fg, q=q, method=method)
-
-
 # ---------------------------------------------------------------------------
 # drift certificates
 
@@ -469,13 +457,13 @@ class DriftCertificate:
         }
 
 
-def drift_certificate(chain: DenseChain, check_eigenvalues: bool = True) -> DriftCertificate:
+def drift_certificate(chain: DenseChain) -> DriftCertificate:
     """Certify (P V)(x) <= lam V(x) for all x except the mode.
 
     Raises :class:`NoCertificate` when the best achievable lam is >= 1,
     reporting the violating state.  The total-variation consequences assume
-    nonnegative eigenvalues; with ``check_eigenvalues`` the spectrum is
-    verified (use the lazy chain when it fails).
+    nonnegative eigenvalues, so a chain with a negative one is refused (use
+    the lazy chain instead).
     """
     from scipy.special import logsumexp
 
@@ -489,7 +477,7 @@ def drift_certificate(chain: DenseChain, check_eigenvalues: bool = True) -> Drif
     worst_idx = int(np.argmax(ratios))
     lam = float(ratios[worst_idx])
     min_eig = float(chain.eigensystem()[0][0])
-    if check_eigenvalues and min_eig < -1e-10:
+    if min_eig < -1e-10:
         raise ValueError(
             f"chain has negative eigenvalue {min_eig:.3g}; certify the lazy chain instead"
         )

@@ -87,16 +87,75 @@ def log_clip_weight(log_u, ell: float, big_l: float):
     return np.clip(log_u, lo, hi)
 
 
-def _informed_scan(target: DiscreteTarget, x: State, x_log_pi: float, spec: KernelSpec):
-    """Neighbors of x with log clipped weights and the log normalizer Z_h(x)."""
-    ns, lps = target.neighbors_with_log_pi(x)
+class AsymmetricNeighborhood(DiscreteMHError):
+    """A state is a neighbor of x, but x is not a neighbor of that state."""
+
+
+@dataclass
+class Scan:
+    """A kernel's view of one state: its neighbors and, for informed kernels,
+    their ``log_pis`` and the log proposal probabilities ``log_q``.  The
+    random walk proposes uniformly and leaves both ``None``."""
+
+    state: State
+    log_pi: float
+    neighbors: list
+    log_q: np.ndarray | None = None
+    log_pis: np.ndarray | None = None
+
+    @property
+    def n_evals(self) -> int:
+        return 0 if self.log_pis is None else len(self.neighbors)
+
+    def log_k(self, j: int) -> float:
+        """Log probability of proposing the j-th neighbor."""
+        return -math.log(len(self.neighbors)) if self.log_q is None else self.log_q[j]
+
+
+def scan_at(target: DiscreteTarget, x: State, x_log_pi: float, spec: KernelSpec) -> Scan:
+    """Neighbors of x with the kernel's proposal; the random walk evaluates
+    no ``log_pi``, the informed kernel normalizes clipped weights."""
+    if spec.family == RANDOM_WALK:
+        ns, lps = list(target.neighbors(x)), None
+    else:
+        ns, lps = target.neighbors_with_log_pi(x)
     if not ns:
         raise IsolatedState(f"state {x!r} has no neighbors")
+    if lps is None:
+        return Scan(x, x_log_pi, ns)
     log_w = log_clip_weight(lps - x_log_pi, spec.ell, spec.big_l)
-    log_z = logsumexp(log_w)
+    log_z = float(logsumexp(log_w))
     if log_z == -math.inf:
         raise IsolatedState(f"state {x!r} has no neighbor with positive weight")
-    return ns, lps, log_w, float(log_z)
+    return Scan(x, x_log_pi, ns, log_w - log_z, lps)
+
+
+def log_acceptance(sx: Scan, sy: Scan, j: int) -> float:
+    """log of pi(y) K(y, x) / (pi(x) K(x, y)) for the move from x =
+    ``sx.state`` to its j-th neighbor y, given the scan ``sy`` at y.  The
+    informed ratio takes pi(y) from the forward scan, as the step does."""
+    try:
+        i = sy.neighbors.index(sx.state)
+    except ValueError:
+        raise AsymmetricNeighborhood(
+            f"{sy.state!r} is a neighbor of {sx.state!r}, but not the other way round"
+        ) from None
+    if sx.log_q is None:
+        return sy.log_pi - sx.log_pi + math.log(len(sx.neighbors)) - math.log(len(sy.neighbors))
+    return float(sx.log_pis[j] - sx.log_pi + sy.log_q[i] - sx.log_q[j])
+
+
+def _move(target: DiscreteTarget, sx: Scan, j: int, spec: KernelSpec) -> tuple[float, float, int]:
+    """log pi(y), log alpha and the log_pi evaluations spent on the move to
+    the j-th neighbor y; a zero-probability y is rejected unscanned."""
+    if sx.log_pis is None:
+        lp_y, n_evals = target.log_pi(sx.neighbors[j]), 1
+    else:
+        lp_y, n_evals = sx.log_pis[j], 0
+    if lp_y == -math.inf:
+        return lp_y, -math.inf, n_evals
+    sy = scan_at(target, sx.neighbors[j], lp_y, spec)
+    return lp_y, log_acceptance(sx, sy, j), n_evals + sy.n_evals
 
 
 def informed_proposal_dist(
@@ -110,8 +169,8 @@ def informed_proposal_dist(
     """
     if spec.family != INFORMED:
         raise ValueError("informed_proposal_dist requires an informed KernelSpec")
-    ns, _, log_w, log_z = _informed_scan(target, x, target.log_pi(x), spec)
-    return ns, np.exp(log_w - log_z)
+    sx = scan_at(target, x, target.log_pi(x), spec)
+    return sx.neighbors, np.exp(sx.log_q)
 
 
 def acceptance_log_ratio(
@@ -122,21 +181,12 @@ def acceptance_log_ratio(
     The acceptance probability of the move is ``min(1, exp(value))``; -inf
     encodes a proposal onto a zero-probability state.
     """
-    lp_x = target.log_pi(x)
-    lp_y = target.log_pi(x_prime)
-    if spec.family == RANDOM_WALK:
-        n_x = len(list(target.neighbors(x)))
-        if lp_y == -math.inf:
-            return -math.inf
-        n_y = len(list(target.neighbors(x_prime)))
-        return lp_y - lp_x + math.log(n_x) - math.log(n_y)
-    if lp_y == -math.inf:
-        return -math.inf
-    ns_x, _, log_w_x, log_z_x = _informed_scan(target, x, lp_x, spec)
-    ns_y, _, log_w_y, log_z_y = _informed_scan(target, x_prime, lp_y, spec)
-    log_k_fwd = log_w_x[ns_x.index(x_prime)] - log_z_x
-    log_k_rev = log_w_y[ns_y.index(x)] - log_z_y
-    return float(lp_y - lp_x + log_k_rev - log_k_fwd)
+    sx = scan_at(target, x, target.log_pi(x), spec)
+    try:
+        j = sx.neighbors.index(x_prime)
+    except ValueError:
+        raise ValueError(f"{x_prime!r} is not a neighbor of {x!r}") from None
+    return float(_move(target, sx, j, spec)[1])
 
 
 @dataclass
@@ -147,16 +197,6 @@ class StepMeta:
     log_alpha: float
     n_evals: int
     next_log_pi: float
-
-
-def make_rng(seed) -> np.random.Generator:
-    """Philox generator from an int seed, a sequence of ints or a SeedSequence."""
-    return philox_rng(seed)
-
-
-def spawn_rngs(master_seed, n: int) -> list[np.random.Generator]:
-    children = np.random.SeedSequence(master_seed).spawn(n)
-    return [make_rng(c) for c in children]
 
 
 def _sample_index(rng: np.random.Generator, probs: np.ndarray) -> int:
@@ -171,59 +211,25 @@ def step(
     spec: KernelSpec,
     rng: np.random.Generator,
     x_log_pi: float | None = None,
-    scan_cache: dict | None = None,
 ) -> tuple[State, StepMeta]:
     """One Metropolis-Hastings transition from ``x``.
 
     Draw order is fixed (lazy coin, proposal, acceptance uniform) so traces
-    are reproducible from the generator state.  ``scan_cache`` optionally
-    memoizes informed neighborhood scans keyed by state; cache hits are not
-    counted in ``n_evals``.
+    are reproducible from the generator state.
     """
     if x_log_pi is None:
         x_log_pi = target.log_pi(x)
     if spec.lazy and rng.random() < 0.5:
         return x, StepMeta(None, False, True, 0.0, 0, x_log_pi)
 
-    n_evals = 0
-    if spec.family == RANDOM_WALK:
-        ns = list(target.neighbors(x))
-        if not ns:
-            raise IsolatedState(f"state {x!r} has no neighbors")
-        y = ns[int(rng.integers(len(ns)))]
-        lp_y = target.log_pi(y)
-        n_evals += 1
-        if lp_y == -math.inf:
-            log_alpha = -math.inf
-        else:
-            n_y = len(list(target.neighbors(y)))
-            log_alpha = lp_y - x_log_pi + math.log(len(ns)) - math.log(n_y)
+    sx = scan_at(target, x, x_log_pi, spec)
+    if sx.log_q is None:
+        j = int(rng.integers(len(sx.neighbors)))
     else:
-        cached = scan_cache.get(x) if scan_cache is not None else None
-        if cached is None:
-            ns, lps, log_w, log_z = _informed_scan(target, x, x_log_pi, spec)
-            n_evals += len(ns)
-            if scan_cache is not None:
-                scan_cache[x] = (ns, lps, log_w, log_z)
-        else:
-            ns, lps, log_w, log_z = cached
-        j = _sample_index(rng, np.exp(log_w - log_z))
-        y = ns[j]
-        lp_y = lps[j]
-        if lp_y == -math.inf:
-            log_alpha = -math.inf
-        else:
-            cached_y = scan_cache.get(y) if scan_cache is not None else None
-            if cached_y is None:
-                ns_y, lps_y, log_w_y, log_z_y = _informed_scan(target, y, lp_y, spec)
-                n_evals += len(ns_y)
-                if scan_cache is not None:
-                    scan_cache[y] = (ns_y, lps_y, log_w_y, log_z_y)
-            else:
-                ns_y, lps_y, log_w_y, log_z_y = cached_y
-            log_k_fwd = log_w[j] - log_z
-            log_k_rev = log_w_y[ns_y.index(x)] - log_z_y
-            log_alpha = lp_y - x_log_pi + log_k_rev - log_k_fwd
+        j = _sample_index(rng, np.exp(sx.log_q))
+    y = sx.neighbors[j]
+    lp_y, log_alpha, n_evals = _move(target, sx, j, spec)
+    n_evals += sx.n_evals
 
     if log_alpha >= 0:
         accepted = True
@@ -252,26 +258,6 @@ class ChainTrace:
     def __len__(self) -> int:
         return len(self.states)
 
-    def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("step,state,log_pi,accepted\n")
-            for i, s in enumerate(self.states):
-                acc = "" if i == 0 else int(self.accepted[i - 1])
-                label = "".join(map(str, s)) if isinstance(s, tuple) else str(s)
-                fh.write(f"{i},{label},{float(self.log_pis[i])!r},{acc}\n")
-
-    def sidecar(self, model_config: dict | None = None) -> dict:
-        return {
-            "seed": str(self.seed),
-            "kernel": self.spec.describe(),
-            "lazy": self.spec.lazy,
-            "n_steps": len(self.states) - 1,
-            "proposal_evals": self.proposal_evals,
-            "hit_iteration": self.hit_iteration,
-            "elapsed_seconds": self.elapsed,
-            "model": model_config or {},
-        }
-
 
 def run_chain(
     target: DiscreteTarget,
@@ -281,7 +267,6 @@ def run_chain(
     seed,
     stop_at=None,
     stop_early: bool = False,
-    cache_states: int = 0,
 ) -> ChainTrace:
     """Run a chain for ``n_steps`` transitions from ``init``.
 
@@ -292,7 +277,7 @@ def run_chain(
     """
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
-    rng = make_rng(seed)
+    rng = philox_rng(seed)
     stop_set = None
     if stop_at is not None:
         # model states are tuples; collections of stop states are sets/lists
@@ -300,7 +285,6 @@ def run_chain(
             stop_set = frozenset(stop_at)
         else:
             stop_set = frozenset([stop_at])
-    scan_cache: dict | None = {} if cache_states > 0 else None
 
     x = init
     lp = target.log_pi(x)
@@ -318,7 +302,7 @@ def run_chain(
     for i in range(n_steps):
         if hit is not None and stop_early:
             break
-        x, meta = step(target, x, spec, rng, x_log_pi=lp, scan_cache=scan_cache)
+        x, meta = step(target, x, spec, rng, x_log_pi=lp)
         lp = meta.next_log_pi
         states.append(x)
         log_pis.append(lp)
@@ -326,8 +310,6 @@ def run_chain(
         lazy_stays[i] = meta.lazy_stay
         evals += meta.n_evals
         n_done = i + 1
-        if scan_cache is not None and len(scan_cache) > cache_states:
-            scan_cache.pop(next(iter(scan_cache)))
         if hit is None and stop_set is not None and x in stop_set:
             hit = i + 1
             t_hit = time.perf_counter() - t0

@@ -7,7 +7,7 @@ import pytest
 
 from discretemh import sbm, toy, varsel
 from discretemh.core import enumerate_space
-from discretemh.samplers import make_rng
+from discretemh.core import philox_rng
 
 N_WORKERS = 2  # results are worker-count invariant; two keeps test latency low
 
@@ -58,7 +58,7 @@ def fixture_zoo(example3_v_n1, example3_v2_n1, example3_v2_ads):
         "sbm-p7": small_sbm_target(7, 0.8, 0.1, seed=5)[0],
         "path-7": toy.path_target([1.2, 0.9, 2.0, 1.5, 0.8, 1.1]),
         "star-5": toy.star_target([3.5, 4.0, 3.8, 4.4, 5.0]),
-        "tree-12": toy.random_tree_target(12, make_rng(42), 1.5, 3.0),
+        "tree-12": toy.random_tree_target(12, philox_rng(42), 1.5, 3.0),
         "bimodal": toy.bimodal_target([2.0] * 4, 12.0, [1.5] * 3)[0],
     }
     return zoo

@@ -30,6 +30,7 @@ from discretemh.core import (
     distances_to_state,
     enumerate_space,
     exact_tail_mass,
+    philox_rng,
     restricted_stats,
     tail_mass_bound,
     unimodality_stats,
@@ -52,7 +53,6 @@ from discretemh.samplers import (
     KernelSpec,
     acceptance_log_ratio,
     hitting_experiment,
-    make_rng,
     step,
 )
 from discretemh.varsel import ModelState, VarSelHyper, log_posterior, update_model
@@ -121,7 +121,7 @@ def test_criterion_3_clipped_proposal():
 
 def _theorem_fixtures():
     """Deterministic enumerable fixtures for the bound-verification sweep."""
-    rng = make_rng(20260809)
+    rng = philox_rng(20260809)
     fixtures = []
     for i, (lo, hi, length) in enumerate(
         [
@@ -302,7 +302,7 @@ def _flow_cases():
     path = toy.path_target([1.1, 1.9, 1.4, 2.2, 1.6, 1.3])
     pstates = enumerate_space(path, 50)
     cases.append(("path-rw", path, pstates, RW_LAZY, math.exp(1.1), None))
-    tree = toy.random_tree_target(14, make_rng(12), 1.3, 2.8)
+    tree = toy.random_tree_target(14, philox_rng(12), 1.3, 2.8)
     tstates = enumerate_space(tree, 50)
     cases.append(("tree-rw", tree, tstates, RW_LAZY, math.exp(1.3), None))
     bimodal, x0 = toy.bimodal_target([2.0] * 5, 14.0, [1.5] * 3)
@@ -362,7 +362,7 @@ def test_criterion_6_oracles():
 
     t0 = time.perf_counter()
     # collapsed posterior vs adaptive quadrature
-    rng = make_rng(606)
+    rng = philox_rng(606)
     for trial in range(20):
         p = int(rng.integers(2, 6))
         data, _ = sbm.generate_sbm(p, 0.55, 0.25, seed=(60, trial))
@@ -400,7 +400,7 @@ def test_criterion_6_oracles():
         chain = build_transition_matrix(target, spec, states)
         row = chain.P[chain.index[start]]
         counts = np.zeros(len(states))
-        rng_step = make_rng(62)
+        rng_step = philox_rng(62)
         lp0 = target.log_pi(start)
         for _ in range(n_samples):
             nxt, _meta = step(target, start, spec, rng_step, x_log_pi=lp0)

@@ -204,6 +204,22 @@ class TestCertify:
         assert payload["congestion"]["A_exact"] <= payload["congestion"]["A_closed_form"]
         capsys.readouterr()
 
+    def test_unbuildable_flow_is_a_failed_check(self, tmp_path, capsys):
+        # S far above the unimodality ratio: some state has no uphill move
+        raw = {
+            "model": {"kind": "example3"},
+            "kernel": {"family": "random-walk"},
+            "certify": {"s_threshold": 1e6},
+        }
+        path = write_cfg(tmp_path, raw)
+        out = tmp_path / "o"
+        assert main(["certify", "--config", str(path), "--method", "flow", "--out", str(out)]) == 1
+        assert "[FAIL] flow certificate: state" in capsys.readouterr().out
+        payload = json.loads((out / "certificate.json").read_text())
+        assert payload["checks"][-1]["name"] == "flow certificate"
+        assert payload["checks"][-1]["ok"] is False
+        assert "congestion" not in payload
+
     def test_informed_drift(self, tmp_path, capsys):
         raw = load_config(TEMPLATES / "certify-varsel-small.yaml")
         cfg = resolve_config(raw, out=str(tmp_path))

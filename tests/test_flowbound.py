@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from discretemh import toy
-from discretemh.core import BoundInapplicable, enumerate_space, unimodality_stats
+from discretemh.core import BoundInapplicable, enumerate_space, philox_rng, unimodality_stats
 from discretemh.diagnostics import build_transition_matrix, restricted_gap, spectral_gap
 from discretemh.flowbound import (
     HypothesisViolated,
@@ -14,10 +14,9 @@ from discretemh.flowbound import (
     default_weight_exponent,
     drift_certificate,
     enumerate_flow,
-    restricted_congestion,
     upward_paths,
 )
-from discretemh.samplers import KernelSpec, make_rng
+from discretemh.samplers import KernelSpec
 
 RW_LAZY = KernelSpec(lazy=True)
 
@@ -61,7 +60,7 @@ class TestFlowGraph:
         # route every state through its single best neighbor: a canonical
         # path ensemble; the flow identity still holds and the gap bound
         # cannot beat the multicommodity version
-        target = toy.random_tree_target(10, make_rng(8), 1.5, 2.5)
+        target = toy.random_tree_target(10, philox_rng(8), 1.5, 2.5)
         chain = lazy_chain(target)
         stats = unimodality_stats(target, chain.states)
 
@@ -136,7 +135,7 @@ class TestEnumerateFlow:
                     assert load <= fg.t_mat[pos[ia], pos[ib]] * mass * (1 + 1e-9)
 
     def test_path_length_bound(self):
-        target = toy.random_tree_target(15, make_rng(3), 1.2, 2.5)
+        target = toy.random_tree_target(15, philox_rng(3), 1.2, 2.5)
         states = enumerate_space(target, 50)
         chain = lazy_chain(target, states)
         stats = unimodality_stats(target, states)
@@ -167,7 +166,7 @@ class TestCongestion:
             toy.path_target([1.0, 1.5]),
             toy.path_target([2.0, 1.1, 1.7, 1.3]),
             toy.star_target([3.0, 3.5, 4.0]),
-            toy.random_tree_target(12, make_rng(5), 1.4, 3.0),
+            toy.random_tree_target(12, philox_rng(5), 1.4, 3.0),
         ):
             chain = lazy_chain(target)
             stats = unimodality_stats(target, chain.states)
@@ -200,7 +199,7 @@ class TestCongestion:
         # the flow bound; the variational gap (one minus the second-largest
         # eigenvalue) always dominates it
         found_split = False
-        rng = make_rng(99)
+        rng = philox_rng(99)
         for trial in range(12):
             k = int(rng.integers(3, 6))
             target = toy.star_target(rng.uniform(2.0, 4.0, size=k))
@@ -234,13 +233,13 @@ class TestRestrictedCongestion:
         chain = lazy_chain(example3_v2_ads, states)
         stats = unimodality_stats(example3_v2_ads, states)
         rep_full = congestion(build_flow_graph(chain, stats.r), max_degree=stats.m)
-        rep_restricted = restricted_congestion(chain, states, stats.r)
+        rep_restricted = congestion(build_flow_graph(chain, stats.r, x0=states))
         assert rep_restricted.a_exact == pytest.approx(rep_full.a_exact, rel=1e-12)
 
     def test_bimodal_cluster_certificate(self):
         target, x0 = toy.bimodal_target([2.0] * 4, 12.0, [1.5] * 3)
         chain = lazy_chain(target)
-        rep = restricted_congestion(chain, x0, math.exp(2.0))
+        rep = congestion(build_flow_graph(chain, math.exp(2.0), x0=x0))
         r_gap = restricted_gap(chain, x0)
         full_gap = spectral_gap(chain).gap
         assert r_gap >= rep.gap_lower_bound * (1 - 1e-9)

@@ -8,8 +8,12 @@ from scipy.integrate import quad
 from scipy.special import gammaln, logsumexp
 
 from discretemh import sbm
-from discretemh.core import check_neighborhood_axioms, enumerate_space, unimodality_stats
-from discretemh.samplers import make_rng
+from discretemh.core import (
+    check_neighborhood_axioms,
+    enumerate_space,
+    philox_rng,
+    unimodality_stats,
+)
 from discretemh.sbm import (
     BlockCounts,
     SbmData,
@@ -43,7 +47,7 @@ class TestCollapsedPosterior:
         assert log_posterior_sbm(data, (1, 1)) == pytest.approx(math.log(0.5), abs=1e-15)
 
     def test_matches_quadrature(self):
-        rng = make_rng(77)
+        rng = philox_rng(77)
         for trial in range(20):
             p = int(rng.integers(2, 6))
             data, _ = generate_sbm(p, 0.6, 0.3, seed=(5, trial))
@@ -91,7 +95,7 @@ class TestGammaLn:
 class TestFlipUpdate:
     def test_involution(self):
         data, _ = generate_sbm(10, 0.5, 0.2, seed=4)
-        z = tuple(int(v) for v in make_rng(1).integers(1, 3, size=10))
+        z = tuple(int(v) for v in philox_rng(1).integers(1, 3, size=10))
         counts = BlockCounts.from_labels(data, z)
         z_after = list(z)
         once = flip_update(counts, z, 3)
@@ -104,7 +108,7 @@ class TestFlipUpdate:
     def test_long_random_sequence_matches_scratch(self):
         p = 50
         data, _ = generate_sbm(p, 0.2, 0.05, seed=8)
-        rng = make_rng(9)
+        rng = philox_rng(9)
         z = list(true_labels(p))
         counts = BlockCounts.from_labels(data, tuple(z))
         worst = 0.0
@@ -161,23 +165,23 @@ class TestGeneration:
 class TestInit:
     def test_zero_flips_identity(self):
         z = true_labels(9)
-        assert corrupt_labels(z, 0, make_rng(0)) == z
+        assert corrupt_labels(z, 0, philox_rng(0)) == z
 
     def test_half_wrong_distance(self):
         z = true_labels(1000)
-        out = sbm_init("half-wrong", z, make_rng(2))
+        out = sbm_init("half-wrong", z, philox_rng(2))
         assert sum(a != b for a, b in zip(out, z)) == 500
 
     def test_third_wrong_distance(self):
         z = true_labels(10)
         for s in range(20):
-            out = sbm_init("third-wrong", z, make_rng(s))
+            out = sbm_init("third-wrong", z, philox_rng(s))
             assert sum(a != b for a, b in zip(out, z)) == 3
 
     def test_flip_positions_uniform(self):
         p, draws = 10, 4000
         z = true_labels(p)
-        rng = make_rng(11)
+        rng = philox_rng(11)
         flips = np.zeros(p)
         for _ in range(draws):
             out = sbm_init("half-wrong", z, rng)
@@ -200,7 +204,7 @@ class TestTargetStructure:
     def test_scan_matches_pointwise(self):
         data, _ = generate_sbm(9, 0.6, 0.1, seed=12)
         target = sbm_target(data)
-        rng = make_rng(4)
+        rng = philox_rng(4)
         for _ in range(10):
             z = tuple(int(v) for v in rng.integers(1, 3, size=9))
             ns, lps = target.neighbors_with_log_pi(z)

@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from discretemh import varsel
-from discretemh.core import check_neighborhood_axioms, enumerate_space
-from discretemh.samplers import make_rng
+from discretemh.core import check_neighborhood_axioms, enumerate_space, philox_rng
 from discretemh.varsel import (
     InvalidGram,
     InvalidInit,
@@ -129,7 +128,7 @@ class TestNeighborhoods:
         data, _ = generate_data(8, 120, "moderate", seed=5)
         hyper = VarSelHyper(g=512.0, kappa=1.0, s_max=4)
         target = varsel.varsel_target(data, hyper)
-        rng = make_rng(0)
+        rng = philox_rng(0)
         for _ in range(20):
             delta = tuple(int(b) for b in rng.integers(0, 2, size=8))
             if sum(delta) > 4:
@@ -160,7 +159,7 @@ class TestIncrementalUpdates:
         p = 20
         data, _ = generate_data(p, 150, "moderate", seed=9)
         hyper = VarSelHyper(g=float(p**3), kappa=1.0)
-        rng = make_rng(17)
+        rng = philox_rng(17)
         state = ModelState.from_delta(data, hyper, tuple([0] * p))
         worst = 0.0
         for step_idx in range(1000):
@@ -256,16 +255,16 @@ class TestGramSpecification:
 
 class TestInitSchemes:
     def test_empty_model_deterministic(self):
-        assert uniform_m_init(8, 0, make_rng(0)) == (0,) * 8
+        assert uniform_m_init(8, 0, philox_rng(0)) == (0,) * 8
 
     def test_uniform_m_sizes(self):
-        rng = make_rng(5)
+        rng = philox_rng(5)
         for _ in range(50):
             assert sum(uniform_m_init(12, 4, rng)) == 4
 
     def test_good_bad_sizes(self):
         truth = tuple(1 if j < 5 else 0 for j in range(500))
-        rng = make_rng(9)
+        rng = philox_rng(9)
         good = good_bad_init(truth, "good", rng, n_false=50)
         bad = good_bad_init(truth, "bad", rng, n_false=50)
         assert sum(good) == 55 and all(good[j] for j in range(5))
@@ -275,7 +274,7 @@ class TestInitSchemes:
         from scipy.stats import chisquare
 
         p, m, draws = 6, 2, 4500
-        rng = make_rng(31)
+        rng = philox_rng(31)
         counts: dict = {}
         for _ in range(draws):
             key = uniform_m_init(p, m, rng)
@@ -289,8 +288,8 @@ class TestInitSchemes:
 
     def test_invalid(self):
         with pytest.raises(InvalidInit):
-            uniform_m_init(4, 9, make_rng(0))
+            uniform_m_init(4, 9, philox_rng(0))
         with pytest.raises(InvalidInit):
-            init_scheme("unknown", 4, make_rng(0))
+            init_scheme("unknown", 4, philox_rng(0))
         with pytest.raises(InvalidInit):
-            good_bad_init((1, 1, 0, 0), "good", make_rng(0), n_false=3)
+            good_bad_init((1, 1, 0, 0), "good", philox_rng(0), n_false=3)
