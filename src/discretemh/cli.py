@@ -494,14 +494,14 @@ def cmd_experiment(cfg: Resolved) -> int:
         json.dumps({"config": cfg.raw, "hash": cfg.config_hash, "version": __version__},
                    indent=2, default=str)
     )
-    half = summary.n_runs / 2
+    majority = summary.majority_success
     h_true = (
-        "--" if summary.success < half or summary.median_hit_iteration is None
-        else f"{summary.median_hit_iteration:g}"
+        f"{summary.median_hit_iteration:g}"
+        if majority and summary.median_hit_iteration is not None else "--"
     )
     t_true = (
-        "--" if summary.success < half or summary.median_elapsed_to_hit is None
-        else f"{summary.median_elapsed_to_hit:.3f}"
+        f"{summary.median_elapsed_to_hit:.3f}"
+        if majority and summary.median_elapsed_to_hit is not None else "--"
     )
     if "csv" in cfg.formats:
         with open(out / "summary.csv", "w") as fh:
@@ -517,13 +517,17 @@ def cmd_experiment(cfg: Resolved) -> int:
             fh.write(f"{summary.median_elapsed:.3f},{t_true}\n")
         with open(out / "runs.csv", "w") as fh:
             fh.write(_meta_line(cfg))
-            fh.write("index,hit,hit_iteration,steps,elapsed_s,elapsed_to_hit_s\n")
+            fh.write(
+                "index,hit,hit_iteration,steps,elapsed_s,elapsed_to_hit_s,"
+                "evals,scans,scans_reused,neg_inf_rejects\n"
+            )
             for r in summary.runs:
                 fh.write(
                     f"{r.index},{int(r.hit)},"
                     f"{'' if r.hit_iteration is None else r.hit_iteration},"
-                    f"{r.n_steps_run},{r.elapsed:.4f},"
-                    f"{'' if r.elapsed_to_hit is None else f'{r.elapsed_to_hit:.4f}'}\n"
+                    f"{r.n_steps_run},{r.elapsed:.6f},"
+                    f"{'' if r.elapsed_to_hit is None else f'{r.elapsed_to_hit:.6f}'},"
+                    f"{r.evals},{r.scans},{r.scans_reused},{r.neg_inf_rejects}\n"
                 )
     if "json" in cfg.formats:
         (out / "summary.json").write_text(json.dumps({
@@ -532,9 +536,9 @@ def cmd_experiment(cfg: Resolved) -> int:
             "success": summary.success,
             "n_runs": summary.n_runs,
             "budget": summary.budget,
-            "h_true": summary.median_hit_iteration if summary.success >= half else None,
+            "h_true": summary.median_hit_iteration if majority else None,
             "time_s": summary.median_elapsed,
-            "t_true_s": summary.median_elapsed_to_hit if summary.success >= half else None,
+            "t_true_s": summary.median_elapsed_to_hit if majority else None,
         }, indent=2))
     if run["save_trajectories"]:
         _write_trajectories(cfg, factory)

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import Callable, Hashable, Sequence
 from dataclasses import dataclass
-from typing import Callable, Hashable, Sequence
 
 import numpy as np
 from scipy.special import logsumexp
@@ -47,27 +47,86 @@ class IsolatedState(DiscreteMHError):
     """A state with an empty neighborhood was reached."""
 
 
+class Flips(Sequence):
+    """The single-coordinate flips of a tuple state, addressed by coordinate.
+
+    Move j flips coordinate ``coords[j]`` (increasing) of ``state``, taking
+    value v to ``flip_sum - v``.  Only the states that are asked for are
+    built; the reverse of "flip c" is "flip c", found by ``position``.
+    """
+
+    __slots__ = ("state", "coords", "flip_sum")
+
+    def __init__(self, state: tuple, coords: np.ndarray, flip_sum: int):
+        self.state = state
+        self.coords = coords
+        self.flip_sum = flip_sum
+
+    def __len__(self) -> int:
+        return len(self.coords)
+
+    def __getitem__(self, j: int) -> tuple:
+        return self._flip(int(self.coords[j]))
+
+    def __iter__(self):
+        return map(self._flip, self.coords.tolist())
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+    def _flip(self, c: int) -> tuple:
+        y = list(self.state)
+        y[c] = self.flip_sum - y[c]
+        return tuple(y)
+
+    def position(self, c: int) -> int:
+        """Index of the move that flips coordinate ``c``."""
+        if len(self.coords) == len(self.state):  # every coordinate flips
+            return c
+        j = int(np.searchsorted(self.coords, c))
+        if j == len(self.coords) or self.coords[j] != c:
+            raise ValueError(f"coordinate {c} of {self.state!r} is not flippable")
+        return j
+
+    def index(self, y) -> int:
+        x = self.state
+        if isinstance(y, tuple) and len(y) == len(x):
+            diff = [c for c, (a, b) in enumerate(zip(x, y)) if a != b]
+            if len(diff) == 1 and y[diff[0]] == self.flip_sum - x[diff[0]]:
+                return self.position(diff[0])
+        raise ValueError(f"{y!r} is not a flip of {x!r}")
+
+
 @dataclass(frozen=True)
 class DiscreteTarget:
     """Finite discrete target: log probability plus neighborhood closure.
 
     ``log_pi`` must be pure (same state -> same value, -inf allowed) and safe
-    to call concurrently.  ``neighbors`` must be irreflexive and symmetric.
+    to call concurrently.  ``neighbors`` must be irreflexive and symmetric;
+    it may return a :class:`Flips`, which samplers index by coordinate.
     ``neighbor_log_pis``, when provided, returns ``(neighbors, log_pi_array)``
     in one call; samplers and dense diagnostics use it to batch informed
     proposal scans.
+
+    ``stats_at``, when provided, builds the sufficient statistics of a state
+    whose neighbors are a :class:`Flips`; a chain carries them from state to
+    state instead of recomputing them.  The statistics object has
+    ``log_posterior()``, ``flip(x, c)`` (the statistics after flipping
+    coordinate c of x) and ``flip_log_pis(x)`` (log pi of every single flip
+    of x, in coordinate order).
     """
 
     log_pi: Callable[[State], float]
     neighbors: Callable[[State], Sequence[State]]
     seed_state: State
     name: str = ""
-    neighbor_log_pis: Callable[[State], tuple[list[State], np.ndarray]] | None = None
+    neighbor_log_pis: Callable[[State], tuple[Sequence[State], np.ndarray]] | None = None
+    stats_at: Callable[[State], object] | None = None
 
-    def neighbors_with_log_pi(self, x: State) -> tuple[list[State], np.ndarray]:
+    def neighbors_with_log_pi(self, x: State) -> tuple[Sequence[State], np.ndarray]:
         if self.neighbor_log_pis is not None:
             ns, lps = self.neighbor_log_pis(x)
-            return list(ns), np.asarray(lps, dtype=float)
+            return ns, np.asarray(lps, dtype=float)
         ns = list(self.neighbors(x))
         return ns, np.array([self.log_pi(y) for y in ns], dtype=float)
 

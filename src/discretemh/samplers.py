@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Callable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 from scipy.special import logsumexp
 
-from .core import DiscreteMHError, DiscreteTarget, IsolatedState, State, philox_rng
+from .core import DiscreteMHError, DiscreteTarget, Flips, IsolatedState, State, philox_rng
 
 RANDOM_WALK = "random-walk"
 INFORMED = "informed"
@@ -95,13 +95,15 @@ class AsymmetricNeighborhood(DiscreteMHError):
 class Scan:
     """A kernel's view of one state: its neighbors and, for informed kernels,
     their ``log_pis`` and the log proposal probabilities ``log_q``.  The
-    random walk proposes uniformly and leaves both ``None``."""
+    random walk proposes uniformly and leaves both ``None``.  ``stats`` are
+    the target's sufficient statistics at the state, when it has them."""
 
     state: State
     log_pi: float
-    neighbors: list
+    neighbors: Sequence
     log_q: np.ndarray | None = None
     log_pis: np.ndarray | None = None
+    stats: object = None
 
     @property
     def n_evals(self) -> int:
@@ -112,22 +114,33 @@ class Scan:
         return -math.log(len(self.neighbors)) if self.log_q is None else self.log_q[j]
 
 
-def scan_at(target: DiscreteTarget, x: State, x_log_pi: float, spec: KernelSpec) -> Scan:
+def scan_at(
+    target: DiscreteTarget, x: State, x_log_pi: float, spec: KernelSpec, stats=None
+) -> Scan:
     """Neighbors of x with the kernel's proposal; the random walk evaluates
-    no ``log_pi``, the informed kernel normalizes clipped weights."""
+    no ``log_pi``, the informed kernel normalizes clipped weights.  A target
+    with ``stats_at`` gets its statistics at x built unless ``stats`` are
+    passed, and its informed scan reads the neighbors' ``log_pi`` from them."""
+    if target.stats_at is not None and stats is None:
+        stats = target.stats_at(x)
     if spec.family == RANDOM_WALK:
-        ns, lps = list(target.neighbors(x)), None
+        ns, lps = target.neighbors(x), None
+    elif stats is not None:
+        ns = target.neighbors(x)
+        lps = stats.flip_log_pis(x)[ns.coords]
     else:
         ns, lps = target.neighbors_with_log_pi(x)
+    if not isinstance(ns, Flips):
+        ns = list(ns)
     if not ns:
         raise IsolatedState(f"state {x!r} has no neighbors")
     if lps is None:
-        return Scan(x, x_log_pi, ns)
+        return Scan(x, x_log_pi, ns, stats=stats)
     log_w = log_clip_weight(lps - x_log_pi, spec.ell, spec.big_l)
     log_z = float(logsumexp(log_w))
     if log_z == -math.inf:
         raise IsolatedState(f"state {x!r} has no neighbor with positive weight")
-    return Scan(x, x_log_pi, ns, log_w - log_z, lps)
+    return Scan(x, x_log_pi, ns, log_w - log_z, lps, stats)
 
 
 def log_acceptance(sx: Scan, sy: Scan, j: int) -> float:
@@ -135,7 +148,10 @@ def log_acceptance(sx: Scan, sy: Scan, j: int) -> float:
     ``sx.state`` to its j-th neighbor y, given the scan ``sy`` at y.  The
     informed ratio takes pi(y) from the forward scan, as the step does."""
     try:
-        i = sy.neighbors.index(sx.state)
+        if isinstance(sx.neighbors, Flips) and isinstance(sy.neighbors, Flips):
+            i = sy.neighbors.position(int(sx.neighbors.coords[j]))
+        else:
+            i = sy.neighbors.index(sx.state)
     except ValueError:
         raise AsymmetricNeighborhood(
             f"{sy.state!r} is a neighbor of {sx.state!r}, but not the other way round"
@@ -145,22 +161,28 @@ def log_acceptance(sx: Scan, sy: Scan, j: int) -> float:
     return float(sx.log_pis[j] - sx.log_pi + sy.log_q[i] - sx.log_q[j])
 
 
-def _move(target: DiscreteTarget, sx: Scan, j: int, spec: KernelSpec) -> tuple[float, float, int]:
-    """log pi(y), log alpha and the log_pi evaluations spent on the move to
-    the j-th neighbor y; a zero-probability y is rejected unscanned."""
-    if sx.log_pis is None:
-        lp_y, n_evals = target.log_pi(sx.neighbors[j]), 1
+def _move(target: DiscreteTarget, sx: Scan, j: int, y: State, spec: KernelSpec):
+    """log pi(y), the scan at y, log alpha and the log_pi evaluations spent
+    on the move to the j-th neighbor y; a zero-probability y is rejected
+    unscanned, and its scan is ``None``."""
+    stats_y = None
+    if sx.stats is not None:
+        stats_y = sx.stats.flip(sx.state, int(sx.neighbors.coords[j]))
+    if sx.log_pis is not None:
+        lp_y, n_evals = float(sx.log_pis[j]), 0
+    elif stats_y is not None:
+        lp_y, n_evals = stats_y.log_posterior(), 1
     else:
-        lp_y, n_evals = sx.log_pis[j], 0
+        lp_y, n_evals = float(target.log_pi(y)), 1
     if lp_y == -math.inf:
-        return lp_y, -math.inf, n_evals
-    sy = scan_at(target, sx.neighbors[j], lp_y, spec)
-    return lp_y, log_acceptance(sx, sy, j), n_evals + sy.n_evals
+        return lp_y, None, -math.inf, n_evals
+    sy = scan_at(target, y, lp_y, spec, stats_y)
+    return lp_y, sy, log_acceptance(sx, sy, j), n_evals + sy.n_evals
 
 
 def informed_proposal_dist(
     target: DiscreteTarget, x: State, spec: KernelSpec
-) -> tuple[list[State], np.ndarray]:
+) -> tuple[Sequence[State], np.ndarray]:
     """Informed proposal distribution over the neighborhood of ``x``.
 
     Each neighbor's probability is its clipped ratio weight over the
@@ -186,7 +208,7 @@ def acceptance_log_ratio(
         j = sx.neighbors.index(x_prime)
     except ValueError:
         raise ValueError(f"{x_prime!r} is not a neighbor of {x!r}") from None
-    return float(_move(target, sx, j, spec)[1])
+    return float(_move(target, sx, j, x_prime, spec)[2])
 
 
 @dataclass
@@ -197,12 +219,48 @@ class StepMeta:
     log_alpha: float
     n_evals: int
     next_log_pi: float
+    n_scans: int = 0
 
 
 def _sample_index(rng: np.random.Generator, probs: np.ndarray) -> int:
     c = np.cumsum(probs)
     u = rng.random() * c[-1]
     return int(np.searchsorted(c, u, side="right").clip(0, len(probs) - 1))
+
+
+def _transition(
+    target: DiscreteTarget,
+    x: State,
+    x_log_pi: float,
+    sx: Scan | None,
+    spec: KernelSpec,
+    rng: np.random.Generator,
+) -> tuple[State, StepMeta, Scan | None]:
+    """One transition from ``x``, given the scan at x if the previous step
+    left it.  Returns the next state, the step's record and the scan at the
+    next state: the scan at y when y is accepted, the scan at x otherwise."""
+    if spec.lazy and rng.random() < 0.5:
+        return x, StepMeta(None, False, True, 0.0, 0, x_log_pi), sx
+    n_evals = n_scans = 0
+    if sx is None:
+        sx = scan_at(target, x, x_log_pi, spec)
+        n_evals, n_scans = sx.n_evals, 1
+    if sx.log_q is None:
+        j = int(rng.integers(len(sx.neighbors)))
+    else:
+        j = _sample_index(rng, np.exp(sx.log_q))
+    y = sx.neighbors[j]
+    lp_y, sy, log_alpha, n = _move(target, sx, j, y, spec)
+    n_evals += n
+    n_scans += sy is not None
+
+    if log_alpha >= 0:
+        accepted = True
+    else:
+        accepted = math.log(rng.random()) < log_alpha if log_alpha > -math.inf else False
+    if accepted:
+        return y, StepMeta(y, True, False, float(log_alpha), n_evals, lp_y, n_scans), sy
+    return x, StepMeta(y, False, False, float(log_alpha), n_evals, x_log_pi, n_scans), sx
 
 
 def step(
@@ -215,34 +273,20 @@ def step(
     """One Metropolis-Hastings transition from ``x``.
 
     Draw order is fixed (lazy coin, proposal, acceptance uniform) so traces
-    are reproducible from the generator state.
+    are reproducible from the generator state.  ``run_chain`` makes the
+    same transitions but carries the scan at the current state along.
     """
     if x_log_pi is None:
         x_log_pi = target.log_pi(x)
-    if spec.lazy and rng.random() < 0.5:
-        return x, StepMeta(None, False, True, 0.0, 0, x_log_pi)
-
-    sx = scan_at(target, x, x_log_pi, spec)
-    if sx.log_q is None:
-        j = int(rng.integers(len(sx.neighbors)))
-    else:
-        j = _sample_index(rng, np.exp(sx.log_q))
-    y = sx.neighbors[j]
-    lp_y, log_alpha, n_evals = _move(target, sx, j, spec)
-    n_evals += sx.n_evals
-
-    if log_alpha >= 0:
-        accepted = True
-    else:
-        accepted = math.log(rng.random()) < log_alpha if log_alpha > -math.inf else False
-    if accepted:
-        return y, StepMeta(y, True, False, float(log_alpha), n_evals, float(lp_y))
-    return x, StepMeta(y, False, False, float(log_alpha), n_evals, x_log_pi)
+    y, meta, _ = _transition(target, x, x_log_pi, None, spec, rng)
+    return y, meta
 
 
 @dataclass
 class ChainTrace:
-    """A realized chain: states, their log probabilities and per-step flags."""
+    """A realized chain: states, their log probabilities, per-step flags and
+    counters: ``log_pi`` evaluations, neighborhood scans computed and reused,
+    and proposals rejected for zero probability."""
 
     seed: object
     spec: KernelSpec
@@ -250,13 +294,13 @@ class ChainTrace:
     log_pis: np.ndarray
     accepted: np.ndarray
     lazy_stays: np.ndarray
-    proposal_evals: int
+    evals: int
+    scans: int
+    scans_reused: int
+    neg_inf_rejects: int
     hit_iteration: int | None
     elapsed: float
     elapsed_to_hit: float | None
-
-    def __len__(self) -> int:
-        return len(self.states)
 
 
 def run_chain(
@@ -273,7 +317,9 @@ def run_chain(
     ``stop_at`` may be a single state or a set; the first iteration whose
     state lies in it is recorded, and the run terminates there when
     ``stop_early`` is set (traces are fixed-length otherwise so that
-    replicate aggregation stays rectangular).
+    replicate aggregation stays rectangular).  The chain makes the same
+    transitions as repeated :func:`step` calls, but one scan serves as the
+    reverse scan of a move and as the forward scan of the next step.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
@@ -294,23 +340,28 @@ def run_chain(
     log_pis = [lp]
     accepted = np.zeros(n_steps, dtype=bool)
     lazy_stays = np.zeros(n_steps, dtype=bool)
-    evals = 0
+    evals = scans = reused = neg_inf = 0
     hit = 0 if (stop_set is not None and x in stop_set) else None
     t0 = time.perf_counter()
     t_hit = 0.0 if hit is not None else None
     n_done = 0
+    sx = None
     for i in range(n_steps):
         if hit is not None and stop_early:
             break
-        x, meta = step(target, x, spec, rng, x_log_pi=lp)
+        carried = sx is not None
+        x, meta, sx = _transition(target, x, lp, sx, spec, rng)
         lp = meta.next_log_pi
         states.append(x)
         log_pis.append(lp)
         accepted[i] = meta.accepted
         lazy_stays[i] = meta.lazy_stay
+        reused += carried and not meta.lazy_stay
         evals += meta.n_evals
+        scans += meta.n_scans
+        neg_inf += meta.log_alpha == -math.inf
         n_done = i + 1
-        if hit is None and stop_set is not None and x in stop_set:
+        if meta.accepted and hit is None and stop_set is not None and x in stop_set:
             hit = i + 1
             t_hit = time.perf_counter() - t0
     elapsed = time.perf_counter() - t0
@@ -321,7 +372,10 @@ def run_chain(
         log_pis=np.array(log_pis),
         accepted=accepted[:n_done],
         lazy_stays=lazy_stays[:n_done],
-        proposal_evals=evals,
+        evals=evals,
+        scans=scans,
+        scans_reused=reused,
+        neg_inf_rejects=neg_inf,
         hit_iteration=hit,
         elapsed=elapsed,
         elapsed_to_hit=t_hit,
@@ -336,6 +390,10 @@ class RunRecord:
     n_steps_run: int
     elapsed: float
     elapsed_to_hit: float | None
+    evals: int
+    scans: int
+    scans_reused: int
+    neg_inf_rejects: int
 
 
 @dataclass
@@ -369,6 +427,10 @@ def _run_replicate(args):
         n_steps_run=len(trace.states) - 1,
         elapsed=trace.elapsed,
         elapsed_to_hit=trace.elapsed_to_hit,
+        evals=trace.evals,
+        scans=trace.scans,
+        scans_reused=trace.scans_reused,
+        neg_inf_rejects=trace.neg_inf_rejects,
     )
 
 

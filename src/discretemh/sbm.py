@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .core import DiscreteTarget, philox_rng
+from .core import DiscreteTarget, Flips, philox_rng
 
 BLOCKS = (1, 2)  # two communities; counts are stored per unordered block pair
 
@@ -86,13 +86,38 @@ class BlockCounts:
         )
 
     def log_posterior(self) -> float:
-        terms = [
-            float(gammaln(m_uv + 1) + gammaln(n_uv - m_uv + 1) - gammaln(n_uv + 2))
-            for n_uv, m_uv in zip(self.n_pairs, self.m_edges)
-        ]
+        n_uv, m_uv = np.array(self.n_pairs), np.array(self.m_edges)
+        terms = gammaln(m_uv + 1) + gammaln(n_uv - m_uv + 1) - gammaln(n_uv + 2)
         # combine the two within-block terms first so that swapping the block
         # labels gives bit-identical results
-        return (terms[0] + terms[2]) + terms[1]
+        return float((terms[0] + terms[2]) + terms[1])
+
+    def flip(self, z, j: int) -> "BlockCounts":
+        return flip_update(self, z, j)
+
+    def flip_log_pis(self, z) -> np.ndarray:
+        """Log posteriors of all p single-flip neighbors of ``z``, from the
+        node tallies in one vectorized pass."""
+        p = self.data.p
+        c1 = self.sizes[0]
+        m11, m12, m22 = self.m_edges
+        d1, d2 = self.tallies[:, 0], self.tallies[:, 1]
+        to2 = np.array(z) == 1  # nodes currently in block 1
+        c1_new = np.where(to2, c1 - 1, c1 + 1)
+        c2_new = p - c1_new
+        m11_new = np.where(to2, m11 - d1, m11 + d1)
+        m12_new = np.where(to2, m12 + d1 - d2, m12 - d1 + d2)
+        m22_new = np.where(to2, m22 + d2, m22 - d2)
+        n11_new = c1_new * (c1_new - 1) // 2
+        n12_new = c1_new * c2_new
+        n22_new = c2_new * (c2_new - 1) // 2
+
+        def beta_term(n_uv, m_uv):
+            return gammaln(m_uv + 1) + gammaln(n_uv - m_uv + 1) - gammaln(n_uv + 2)
+
+        return (beta_term(n11_new, m11_new) + beta_term(n22_new, m22_new)) + beta_term(
+            n12_new, m12_new
+        )
 
 
 def log_posterior_sbm(data: SbmData, z) -> float:
@@ -131,64 +156,21 @@ def flip_update(counts: BlockCounts, z, j: int) -> BlockCounts:
     )
 
 
-def _flip_scan(data: SbmData):
-    """Log posteriors of all p single-flip neighbors in one vectorized pass."""
-    adjacency = data.adjacency
-    p = data.p
-
-    def scan(z):
-        ind1 = np.array([lab == 1 for lab in z], dtype=float)
-        ind2 = 1.0 - ind1
-        d1 = adjacency @ ind1
-        d2 = adjacency @ ind2
-        c1 = int(ind1.sum())
-        c2 = p - c1
-        m11 = round(float(ind1 @ d1) / 2)
-        m22 = round(float(ind2 @ d2) / 2)
-        m12 = round(float(ind1 @ d2))
-
-        to2 = ind1.astype(bool)  # nodes currently in block 1
-        c1_new = np.where(to2, c1 - 1, c1 + 1)
-        c2_new = p - c1_new
-        m11_new = np.where(to2, m11 - d1, m11 + d1)
-        m12_new = np.where(to2, m12 + d1 - d2, m12 - d1 + d2)
-        m22_new = np.where(to2, m22 + d2, m22 - d2)
-        n11_new = c1_new * (c1_new - 1) // 2
-        n12_new = c1_new * c2_new
-        n22_new = c2_new * (c2_new - 1) // 2
-
-        def beta_term(n_uv, m_uv):
-            return gammaln(m_uv + 1) + gammaln(n_uv - m_uv + 1) - gammaln(n_uv + 2)
-
-        lps = (beta_term(n11_new, m11_new) + beta_term(n22_new, m22_new)) + beta_term(
-            n12_new, m12_new
-        )
-        ns = []
-        for j in range(p):
-            flipped = list(z)
-            flipped[j] = 3 - flipped[j]
-            ns.append(tuple(flipped))
-        return ns, lps
-
-    return scan
-
-
-def flip_neighbors(z) -> list[tuple]:
-    out = []
-    for j in range(len(z)):
-        flipped = list(z)
-        flipped[j] = 3 - flipped[j]
-        out.append(tuple(flipped))
-    return out
+def flip_neighbors(z) -> Flips:
+    return Flips(z, np.arange(len(z)), 3)
 
 
 def sbm_target(data: SbmData, name: str = "") -> DiscreteTarget:
+    def stats_at(z):
+        return BlockCounts.from_labels(data, z)
+
     return DiscreteTarget(
         log_pi=lambda z: log_posterior_sbm(data, z),
         neighbors=flip_neighbors,
         seed_state=tuple([1] * data.p),
         name=name or f"sbm(p={data.p})",
-        neighbor_log_pis=_flip_scan(data),
+        neighbor_log_pis=lambda z: (flip_neighbors(z), stats_at(z).flip_log_pis(z)),
+        stats_at=stats_at,
     )
 
 

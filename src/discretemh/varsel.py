@@ -3,9 +3,11 @@
 The marginal posterior over inclusion vectors depends on the data only
 through the Gram matrix, X'y and y'y, so those sufficient statistics are
 the only thing kept after data generation.  Model states are 0/1 tuples.
-Posterior evaluation along add/drop/swap moves reuses a Cholesky factor of
-the active Gram block via rank-one extensions and downdates; a vectorized
-one-shot scan evaluates every single-flip neighbor for informed proposals.
+Every evaluation takes a fresh Cholesky factor of the active Gram block; a
+vectorized one-shot scan evaluates every single-flip neighbor from one
+factor for informed proposals.  ``ModelState``/``update_model`` carry the
+factor through add/drop/swap moves with rank-one extensions and downdates;
+they are the incremental oracle that fresh evaluation is checked against.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
-from .core import DiscreteMHError, DiscreteTarget, philox_rng
+from .core import DiscreteMHError, DiscreteTarget, Flips, philox_rng
 
 # Pivot smaller than this times the largest Gram diagonal counts as singular.
 PIVOT_RTOL = 1e-10
@@ -152,11 +154,22 @@ def r_squared(data: VarSelData, delta) -> float:
     return float(min(max(r2, 0.0), 1.0))
 
 
-def _log_post_from_r2(data: VarSelData, hyper: VarSelHyper, size: int, r2: float) -> float:
+def _log_post_from_r2(data: VarSelData, hyper: VarSelHyper, size, r2):
+    """Log posterior from model size and R^2, for scalars or arrays alike.
+
+    Arrays take the same operations in the same order, and ``math.log1p``
+    element by element (``np.log1p`` differs from it in the last bits), so
+    a vectorized scan gives exactly the values of one-at-a-time evaluation.
+    """
+    u = hyper.g * (1.0 - r2)
+    if isinstance(u, float):
+        log1p_u = math.log1p(u)
+    else:
+        log1p_u = np.fromiter(map(math.log1p, u.tolist()), float, len(u))
     return (
         -hyper.kappa * size * math.log(data.p)
         - 0.5 * size * math.log1p(hyper.g)
-        - 0.5 * data.n * math.log1p(hyper.g * (1.0 - r2))
+        - 0.5 * data.n * log1p_u
     )
 
 
@@ -178,35 +191,39 @@ def log_posterior(data: VarSelData, hyper: VarSelHyper, delta) -> float:
     return _log_post_from_r2(data, hyper, size, r2)
 
 
+def _flip_coords(delta, s_max: int | None, hard: bool) -> np.ndarray:
+    """Flippable coordinates of a model: all of them, or with ``hard`` only
+    those whose flip stays within the cap ``s_max``."""
+    size = sum(delta)
+    if not hard or s_max is None or size + 1 <= s_max:
+        return np.arange(len(delta))
+    return np.flatnonzero(np.where(np.array(delta, dtype=bool), size - 1, size + 1) <= s_max)
+
+
 def neighbors(delta, scheme: str = "n1", s_max: int | None = None, hard: bool = False):
     """Single-flip (``n1``) or add-delete-swap (``ads``) neighbor models.
 
     By default models beyond the sparsity cap are still emitted (they carry
     zero posterior mass, so proposing them is an automatic rejection); with
-    ``hard=True`` they are dropped from the list instead.
+    ``hard=True`` they are dropped from the list instead.  The single flips
+    come as a :class:`Flips`.
     """
     if scheme not in ("n1", "ads"):
         raise ValueError(f"unknown neighborhood scheme {scheme!r}")
+    flips = Flips(delta, _flip_coords(delta, s_max, hard), 1)
+    if scheme == "n1":
+        return flips
     p = len(delta)
-    size = sum(delta)
-    out = []
+    out = list(flips)
     for j in range(p):
-        flipped = list(delta)
-        flipped[j] = 1 - flipped[j]
-        new_size = size + (1 if flipped[j] else -1)
-        if hard and s_max is not None and new_size > s_max:
+        if not delta[j]:
             continue
-        out.append(tuple(flipped))
-    if scheme == "ads":
-        for j in range(p):
-            if not delta[j]:
+        for k in range(p):
+            if delta[k]:
                 continue
-            for k in range(p):
-                if delta[k]:
-                    continue
-                swapped = list(delta)
-                swapped[j], swapped[k] = 0, 1
-                out.append(tuple(swapped))
+            swapped = list(delta)
+            swapped[j], swapped[k] = 0, 1
+            out.append(tuple(swapped))
     return out
 
 
@@ -298,19 +315,19 @@ def _n1_scan(data: VarSelData, hyper: VarSelHyper, cap: int | None, hard: bool):
     tol = data.pivot_tol
 
     def scan(delta):
-        active = [j for j in range(data.p) if delta[j]]
+        ns = neighbors(delta, "n1", s_max=cap, hard=hard)
+        d = np.array(delta, dtype=bool)
+        active = np.flatnonzero(d).tolist()
         size = len(active)
         try:
             chol = _fresh_chol(data, active)
         except SingularModel:
             # current state carries no mass; fall back to per-model evals
-            ns = neighbors(delta, "n1", s_max=cap, hard=hard)
             return ns, np.array([log_posterior(data, hyper, m) for m in ns])
         explained = _explained(data, chol, active)
-        add_expl = np.full(data.p, -np.inf)
-        drop_expl = np.full(data.p, -np.inf)
-        inactive = [j for j in range(data.p) if not delta[j]]
-        if inactive:
+        expl = np.full(data.p, -np.inf)
+        inactive = np.flatnonzero(~d)
+        if len(inactive):
             if size:
                 u = gram[np.ix_(active, inactive)]
                 w = solve_triangular(chol, u, lower=True)
@@ -322,35 +339,20 @@ def _n1_scan(data: VarSelData, hyper: VarSelHyper, cap: int | None, hard: bool):
                 num = xty[inactive].astype(float)
             ok = d2 > tol
             gain = np.divide(num**2, d2, out=np.zeros_like(d2), where=ok)
-            add_expl[inactive] = np.where(ok, explained + gain, -np.inf)
+            expl[inactive] = np.where(ok, explained + gain, -np.inf)
         if size:
             inv = cho_solve((chol, True), np.eye(size))
             beta = inv @ xty[active]
-            drop_vals = explained - beta**2 / np.diag(inv)
-            drop_expl[active] = drop_vals
+            expl[active] = explained - beta**2 / np.diag(inv)
 
-        ns, lps = [], []
-        for j in range(data.p):
-            if delta[j]:
-                new_size = size - 1
-                expl = drop_expl[j]
-            else:
-                new_size = size + 1
-                expl = add_expl[j]
-            if hard and cap is not None and new_size > cap:
-                continue
-            flipped = list(delta)
-            flipped[j] = 1 - flipped[j]
-            ns.append(tuple(flipped))
-            if expl == -np.inf:
-                lps.append(-math.inf)
-                continue
-            if (hyper.s_max is not None and new_size > hyper.s_max) or new_size > data.n:
-                lps.append(-math.inf)
-                continue
-            r2 = min(max(expl / yty, 0.0), 1.0)
-            lps.append(_log_post_from_r2(data, hyper, new_size, r2))
-        return ns, np.array(lps)
+        s_max = data.p if hyper.s_max is None else hyper.s_max
+        expl = expl[ns.coords]
+        new_size = np.where(d[ns.coords], size - 1, size + 1)
+        ok = (expl != -np.inf) & (new_size <= s_max) & (new_size <= data.n)
+        lps = np.full(len(ns), -np.inf)
+        r2 = np.minimum(np.maximum(expl[ok] / yty, 0.0), 1.0)
+        lps[ok] = _log_post_from_r2(data, hyper, new_size[ok], r2)
+        return ns, lps
 
     return scan
 

@@ -167,6 +167,30 @@ class TestExperiment:
         runs = (out1 / "runs.csv").read_text().splitlines()
         assert len(runs) == 2 + 6
 
+    def test_runs_csv_timings_and_counters(self, tmp_path):
+        cfg = {
+            "model": {"kind": "sbm", "p": 20, "p_within": 0.5, "p_between": 0.05},
+            "kernel": {"family": "random-walk"},
+            "run": {"n_runs": 3, "budget": 40, "seed": 3, "stop_early": False,
+                    "init": {"scheme": "third-wrong"}},
+        }
+        out = tmp_path / "o"
+        assert cmd_experiment(resolve_config(load_config(write_cfg(tmp_path, cfg)), out=str(out))) == 0
+        lines = (out / "runs.csv").read_text().splitlines()
+        assert lines[1] == (
+            "index,hit,hit_iteration,steps,elapsed_s,elapsed_to_hit_s,"
+            "evals,scans,scans_reused,neg_inf_rejects"
+        )
+        rows = [dict(zip(lines[1].split(","), ln.split(","))) for ln in lines[2:]]
+        assert len(rows) == 3
+        for row in rows:
+            assert float(row["elapsed_s"]) > 0
+            assert int(row["steps"]) == 40
+            # random walk: one log_pi per move, one scan at x, then one per move
+            assert int(row["evals"]) == 40
+            assert int(row["scans"]) == 41 and int(row["scans_reused"]) == 39
+            assert int(row["neg_inf_rejects"]) == 0
+
     def test_zero_budget_success_by_init_only(self, tmp_path):
         cfg = dict(SMALL_VARSEL)
         cfg["run"] = {**SMALL_VARSEL["run"], "n_runs": 1, "budget": 0}

@@ -3,8 +3,10 @@
 The dense matrix, the single-move acceptance ratio and the sampler's step
 must describe one kernel: every off-diagonal matrix entry is the proposal
 probability times the acceptance probability of that move, the step
-reports the same log acceptance ratio for the proposal it drew, and chain
-traces at a fixed seed stay bit-identical to recorded digests.
+reports the same log acceptance ratio for the proposal it drew, a chain
+that carries its scan and model statistics from step to step makes the
+same moves as repeated stateless steps, and chain traces at a fixed seed
+stay bit-identical to recorded digests.
 """
 
 from __future__ import annotations
@@ -19,11 +21,13 @@ from discretemh.core import enumerate_space, philox_rng
 from discretemh.diagnostics import build_transition_matrix
 from discretemh.samplers import (
     KernelSpec,
+    _transition,
     acceptance_log_ratio,
     informed_proposal_dist,
     run_chain,
     step,
 )
+from discretemh.sbm import BlockCounts
 
 KERNELS = {
     "rw": KernelSpec(),
@@ -74,6 +78,51 @@ def test_step_log_alpha_is_acceptance_log_ratio(fixture_zoo, zoo_enumerations, n
         for _ in range(3):
             _, meta = step(target, x, spec, rng)
             assert meta.log_alpha == acceptance_log_ratio(target, x, meta.proposal, spec)
+
+
+CHAIN_SPECS = {**KERNELS, "clipped-lazy": KernelSpec("informed", ell=2.0, big_l=50.0, lazy=True)}
+
+
+@pytest.mark.parametrize("kernel", sorted(CHAIN_SPECS))
+@pytest.mark.parametrize("name", ZOO_NAMES)
+def test_carried_chain_equals_stateless_steps(fixture_zoo, zoo_enumerations, name, kernel):
+    target, spec = fixture_zoo[name], CHAIN_SPECS[kernel]
+    start = min(zoo_enumerations[name], key=target.log_pi)
+    trace = run_chain(target, start, spec, 400, 31)
+    rng = philox_rng(31)
+    x, lp = start, target.log_pi(start)
+    states, log_pis, accepted, lazy = [x], [lp], [], []
+    for _ in range(400):
+        x, meta = step(target, x, spec, rng, x_log_pi=lp)
+        lp = meta.next_log_pi
+        states.append(x)
+        log_pis.append(lp)
+        accepted.append(meta.accepted)
+        lazy.append(meta.lazy_stay)
+    assert trace.states == states
+    assert np.array_equal(trace.log_pis, log_pis)
+    assert np.array_equal(trace.accepted, accepted)
+    assert np.array_equal(trace.lazy_stays, lazy)
+    moves = 400 - int(trace.lazy_stays.sum())
+    assert trace.scans + trace.scans_reused == moves + (moves - trace.neg_inf_rejects)
+    assert trace.scans_reused == max(moves - 1, 0)
+
+
+@pytest.mark.parametrize("kernel", sorted(CHAIN_SPECS))
+def test_carried_block_counts_match_fresh(fixture_zoo, kernel):
+    target, spec = fixture_zoo["sbm-p7"], CHAIN_SPECS[kernel]
+    rng = philox_rng(8)
+    x = target.seed_state
+    lp, sx, n_accepted = target.log_pi(x), None, 0
+    for _ in range(2000):
+        x, meta, sx = _transition(target, x, lp, sx, spec, rng)
+        lp = meta.next_log_pi
+        n_accepted += meta.accepted
+    assert n_accepted > 100 and sx.state == x
+    fresh = BlockCounts.from_labels(target.stats_at(x).data, x)
+    assert (sx.stats.sizes, sx.stats.m_edges) == (fresh.sizes, fresh.m_edges)
+    assert np.array_equal(sx.stats.tallies, fresh.tallies)
+    assert sx.stats.log_posterior() == target.log_pi(x)
 
 
 # sha256 of repr(states) over 300 steps at seed 2024 from the least probable
