@@ -19,7 +19,7 @@ import math
 import re
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,9 +30,11 @@ from .core import (
     CapExceeded,
     DiscreteMHError,
     DiscreteTarget,
+    Space,
     enumerate_space,
     philox_rng,
     restricted_stats,
+    tabulate,
     unimodality_stats,
 )
 from .diagnostics import (
@@ -571,14 +573,14 @@ def _write_trajectories(cfg: Resolved, factory) -> None:
 # certify / diagnose
 
 
-def _parse_x0(spec_str: str, target: DiscreteTarget, states: list) -> list | None:
+def _parse_x0(spec_str: str, states: Space) -> list | None:
     if spec_str in (None, "all"):
         return None
     if spec_str.startswith("top-mass:"):
         frac = float(spec_str.split(":", 1)[1])
         if not 0 < frac <= 1:
             raise ConfigError("top-mass fraction must lie in (0, 1]")
-        lps = np.array([target.log_pi(s) for s in states])
+        lps = states.log_pis
         order = np.argsort(-lps)
         mass = np.exp(lps - np.logaddexp.reduce(lps))
         total = 0.0
@@ -601,33 +603,61 @@ def _auto_s(spec: KernelSpec, stats) -> float:
     return stats.r
 
 
-def cmd_certify(cfg: Resolved, method: str) -> int:
+class _Stages(dict):
+    """Seconds per certify stage, summed over the calls it times."""
+
+    def __call__(self, stage: str, fn, *args):
+        t0 = time.perf_counter()
+        out = fn(*args)
+        self[stage] = self.get(stage, 0.0) + time.perf_counter() - t0
+        return out
+
+
+def _tabulated(cfg: Resolved, timed: _Stages):
+    """The static target, its description, its tabulated space and its
+    ``log_pi`` call count (a one-element list); None past the enum cap."""
     target, model_desc = build_static_target(cfg)
-    cert = cfg.certify
+    model_log_pi, calls = target.log_pi, [0]
+
+    def log_pi(x):
+        calls[0] += 1
+        return model_log_pi(x)
+
+    target = replace(target, log_pi=log_pi)
     try:
-        states = enumerate_space(target, int(cert["enum_cap"]))
+        states = timed("enumerate", enumerate_space, target, int(cfg.certify["enum_cap"]))
     except CapExceeded as exc:
         print(f"error: {exc}; shrink model.p or raise certify.enum_cap", file=sys.stderr)
+        return None
+    return target, model_desc, timed("tabulate", tabulate, target, states), calls
+
+
+def cmd_certify(cfg: Resolved, method: str) -> int:
+    timed = _Stages()
+    tabulated = _tabulated(cfg, timed)
+    if tabulated is None:
         return 2
-    stats = unimodality_stats(target, states)
+    target, model_desc, states, log_pi_calls = tabulated
+    cert = cfg.certify
+    stats = timed("stats", unimodality_stats, target, states)
     epsilon = float(cert["epsilon"])
 
     lazy_spec = KernelSpec(cfg.spec.family, cfg.spec.ell, cfg.spec.big_l, lazy=True)
-    chain = build_transition_matrix(target, lazy_spec, states)
-    report = spectral_gap(chain)
+    chain = timed("build", build_transition_matrix, target, lazy_spec, states)
+    report = timed("eigensolve", spectral_gap, chain)
     pi_min = float(chain.pi.min())
 
-    x0 = _parse_x0(cert["x0"], target, states)
+    x0 = _parse_x0(cert["x0"], states)
     restricted_ctx = None
     eta = cert["eta"]
     if x0 is not None:
-        rstats = restricted_stats(target, states, x0)
+        rstats = timed("stats", restricted_stats, target, states, x0)
         mass = float(sum(chain.pi[chain.index[s]] for s in x0))
         restricted_ctx = RestrictedContext(
             stats=rstats, mass=mass,
             boundary_log_ratio=boundary_log_ratio(target, states, x0),
         )
-        report.restricted_gap = restricted_gap(chain, x0)
+        report.restricted_gap = timed("eigensolve", restricted_gap, chain, x0)
         if eta is None:
             eta = float(chain.pi[chain.index[rstats.x_star]])
     report.theorem_bounds = theorem_bounds(
@@ -642,6 +672,7 @@ def cmd_certify(cfg: Resolved, method: str) -> int:
         "gap_report": report.to_json_dict(),
         "checks": [],
     }
+    sizes = {"states": len(states), "nnz_P": int(np.count_nonzero(chain.P))}
 
     def check(name: str, ok: bool, detail: str):
         payload["checks"].append({"name": name, "ok": bool(ok), "detail": detail})
@@ -668,8 +699,10 @@ def cmd_certify(cfg: Resolved, method: str) -> int:
         s_val = cert["s_threshold"]
         s_threshold = _auto_s(cfg.spec, use_stats) if s_val == "auto" else float(s_val)
         try:
-            fg = build_flow_graph(chain, s_threshold, x0=x0 if restricted else None)
-            rep = congestion(fg, q=cert["q"], max_degree=stats.m)
+            fg = timed("flow_graph", build_flow_graph, chain, s_threshold,
+                       x0 if restricted else None)
+            rep = timed("congestion", congestion, fg, cert["q"], stats.m)
+            sizes["dag_edges"] = len(fg.edges)
         except DiscreteMHError as exc:
             check("flow certificate", False, str(exc))
         else:
@@ -685,13 +718,13 @@ def cmd_certify(cfg: Resolved, method: str) -> int:
         if cfg.spec.family != INFORMED:
             print("error: drift certificates target informed kernels", file=sys.stderr)
             return 2
-        plain = build_transition_matrix(
-            target, KernelSpec(cfg.spec.family, cfg.spec.ell, cfg.spec.big_l, lazy=False),
-            states,
+        plain = timed(
+            "build", build_transition_matrix, target,
+            KernelSpec(cfg.spec.family, cfg.spec.ell, cfg.spec.big_l, lazy=False), states,
         )
-        drift_chain = plain if plain.eigensystem()[0][0] >= -1e-10 else chain
+        drift_chain = plain if timed("eigensolve", plain.eigensystem)[0][0] >= -1e-10 else chain
         try:
-            cert_obj = drift_certificate(drift_chain)
+            cert_obj = timed("drift", drift_certificate, drift_chain)
         except DiscreteMHError as exc:
             check("drift certificate", False, str(exc))
         else:
@@ -699,7 +732,7 @@ def cmd_certify(cfg: Resolved, method: str) -> int:
             print(f"[info] drift lambda = {cert_obj.lam:.6g} on {'lazy' if drift_chain.lazy else 'plain'} chain")
             worst = max(states, key=cert_obj.v_of)
             for eps in (0.25, 0.1, 0.01):
-                t_exact = tau_x(drift_chain, worst, eps)
+                t_exact = timed("tau", tau_x, drift_chain, worst, eps)
                 bound = cert_obj.mixing_bound(worst, eps)
                 check(f"drift mixing bound (eps={eps})",
                       t_exact is not None and t_exact <= bound,
@@ -708,29 +741,30 @@ def cmd_certify(cfg: Resolved, method: str) -> int:
         print(f"error: unknown certify method {method!r}", file=sys.stderr)
         return 2
 
+    sizes["log_pi_calls"] = log_pi_calls[0]
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     out_path = cfg.out_dir / "certificate.json"
     out_path.write_text(json.dumps({
-        "config_hash": cfg.config_hash, "version": __version__, **payload
+        "config_hash": cfg.config_hash, "version": __version__, **payload,
+        "timings": timed, "sizes": sizes,
     }, indent=2, default=str))
     print(f"report: {out_path}")
     return 1 if failures else 0
 
 
 def cmd_diagnose(cfg: Resolved) -> int:
-    target, model_desc = build_static_target(cfg)
-    cert = cfg.certify
-    try:
-        states = enumerate_space(target, int(cert["enum_cap"]))
-    except CapExceeded as exc:
-        print(f"error: {exc}; shrink model.p or raise certify.enum_cap", file=sys.stderr)
+    timed = _Stages()
+    tabulated = _tabulated(cfg, timed)
+    if tabulated is None:
         return 2
-    stats = unimodality_stats(target, states)
-    chain = build_transition_matrix(target, cfg.spec, states)
-    report = spectral_gap(chain)
-    x0 = _parse_x0(cert["x0"], target, states)
+    target, model_desc, states, log_pi_calls = tabulated
+    cert = cfg.certify
+    stats = timed("stats", unimodality_stats, target, states)
+    chain = timed("build", build_transition_matrix, target, cfg.spec, states)
+    report = timed("eigensolve", spectral_gap, chain)
+    x0 = _parse_x0(cert["x0"], states)
     if x0 is not None:
-        report.restricted_gap = restricted_gap(chain, x0)
+        report.restricted_gap = timed("eigensolve", restricted_gap, chain, x0)
     report.theorem_bounds = theorem_bounds(
         stats, cfg.spec, float(chain.pi.min()), float(cert["epsilon"])
     )
@@ -738,7 +772,9 @@ def cmd_diagnose(cfg: Resolved) -> int:
     (cfg.out_dir / "gap_report.json").write_text(json.dumps({
         "config_hash": cfg.config_hash, "version": __version__,
         "model": model_desc, "stats": stats.to_json_dict(),
-        "gap_report": report.to_json_dict(),
+        "gap_report": report.to_json_dict(), "timings": timed,
+        "sizes": {"states": len(states), "nnz_P": int(np.count_nonzero(chain.P)),
+                  "log_pi_calls": log_pi_calls[0]},
     }, indent=2, default=str))
     worst_start = chain.states[int(np.argmin(chain.log_pis))]
     curve = tv_curve(chain, worst_start, int(cert["t_max"]))

@@ -47,6 +47,10 @@ class IsolatedState(DiscreteMHError):
     """A state with an empty neighborhood was reached."""
 
 
+class AsymmetricNeighborhood(DiscreteMHError):
+    """A state is a neighbor of x, but x is not a neighbor of that state."""
+
+
 class Flips(Sequence):
     """The single-coordinate flips of a tuple state, addressed by coordinate.
 
@@ -211,6 +215,79 @@ def philox_rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
+class Space(Sequence):
+    """An enumerated space tabulated once for a target, as the sequence of
+    its states.
+
+    ``log_pis[i]`` is log pi of state i.  Move k of state i goes to state
+    ``nbr[i, k]`` for k < ``deg[i]``, the size of its neighborhood; -1 marks
+    a neighbor outside the space (probability 0) and the padding past
+    ``deg[i]``.  ``rev[i, k]`` is the move of ``nbr[i, k]`` back to i.
+    ``index`` maps each state to its position.
+    """
+
+    def __init__(self, states: list, index: dict, log_pis, nbr, deg, rev):
+        self.states, self.index = states, index
+        self.log_pis, self.nbr, self.deg, self.rev = log_pis, nbr, deg, rev
+
+    def __len__(self) -> int:
+        return len(self.states)
+
+    def __getitem__(self, i):
+        return self.states[i]
+
+    def mask(self, xs) -> np.ndarray:
+        """Boolean mask of the states ``xs`` over the space."""
+        out = np.zeros(len(self.states), dtype=bool)
+        out[[self.index[x] for x in xs]] = True
+        return out
+
+
+def tabulate(target: DiscreteTarget, states: Sequence[State]) -> Space:
+    """One ``log_pi`` and one neighborhood per state, neighbors as positions.
+
+    Raises :class:`AsymmetricNeighborhood` where a state of the space lists
+    a neighbor in the space that does not list it back.  A :class:`Space`
+    is returned as it is.
+    """
+    if isinstance(states, Space):
+        return states
+    states = list(states)
+    index = {x: i for i, x in enumerate(states)}
+    rows = [[index.get(y, -1) for y in target.neighbors(x)] for x in states]
+    deg = np.array([len(r) for r in rows], dtype=np.intp)
+    nbr = np.full((len(states), max(deg, default=0)), -1, dtype=np.intp)
+    rev = nbr.copy()
+    move = {}
+    for i, r in enumerate(rows):
+        nbr[i, :len(r)] = r
+        move.update(((i, j), k) for k, j in enumerate(r) if j >= 0)
+    for (i, j), k in move.items():
+        if (j, i) not in move:
+            raise AsymmetricNeighborhood(
+                f"{states[j]!r} is a neighbor of {states[i]!r}, but not the other way round"
+            )
+        rev[i, k] = move[j, i]
+    log_pis = np.array([target.log_pi(x) for x in states], dtype=float)
+    return Space(states, index, log_pis, nbr, deg, rev)
+
+
+def _ratio_stats(space: Space, inside: np.ndarray) -> NeighborhoodStats:
+    """Mode and unimodality ratio of the states ``inside``, moves leaving
+    them excluded; M over the whole space."""
+    members = np.flatnonzero(inside)
+    lp = space.log_pis[members]
+    i_star = min(members[lp == lp.max()], key=space.__getitem__)  # ties: smallest state
+    nbr = space.nbr[members]
+    best = np.where((nbr >= 0) & inside[nbr], space.log_pis[nbr], -np.inf)
+    gain = best.max(axis=1, initial=-np.inf) - lp
+    gain[members == i_star] = math.inf
+    return NeighborhoodStats(
+        m=int(space.deg.max()), log_r=float(gain.min()), x_star=space[i_star],
+        n_states=len(members),
+    )
+
+
 def unimodality_stats(target: DiscreteTarget, states: Sequence[State]) -> NeighborhoodStats:
     """Max neighborhood size, unimodality ratio and mode of a full enumeration.
 
@@ -220,20 +297,12 @@ def unimodality_stats(target: DiscreteTarget, states: Sequence[State]) -> Neighb
     """
     if len(states) < 2:
         raise DegenerateSpace("need at least two states to define R")
-    log_pis = {x: target.log_pi(x) for x in states}
-    x_star = min(states, key=lambda x: (-log_pis[x], x))
-    m = 0
-    log_r = math.inf
-    for x in states:
-        ns = list(target.neighbors(x))
-        m = max(m, len(ns))
-        if x == x_star:
-            continue
-        if not ns:
-            raise IsolatedState(f"state {x!r} has no neighbors")
-        best = max(target.log_pi(y) for y in ns)
-        log_r = min(log_r, best - log_pis[x])
-    return NeighborhoodStats(m=m, log_r=log_r, x_star=x_star, n_states=len(states))
+    space = tabulate(target, states)
+    stats = _ratio_stats(space, np.ones(len(space), dtype=bool))
+    for i in np.flatnonzero(space.deg == 0):
+        if space[i] != stats.x_star:
+            raise IsolatedState(f"state {space[i]!r} has no neighbors")
+    return stats
 
 
 def restricted_stats(
@@ -244,39 +313,33 @@ def restricted_stats(
     The maximum neighborhood size is still taken over the full space; only
     the ratio and the mode are computed inside the restriction.
     """
+    space = tabulate(target, states)
     x0_set = set(x0)
-    if not x0_set <= set(states):
+    if not all(x in space.index for x in x0_set):
         raise ValueError("x0 must be a subset of the enumerated states")
     if len(x0_set) < 2:
         raise DegenerateSpace("restriction has fewer than two states")
-    _check_restriction_connected(target, x0_set)
-    log_pis = {x: target.log_pi(x) for x in x0_set}
-    x_star0 = min(x0_set, key=lambda x: (-log_pis[x], x))
-    m = max(len(list(target.neighbors(x))) for x in states)
-    log_r = math.inf
-    for x in x0_set:
-        if x == x_star0:
-            continue
-        inside = [y for y in target.neighbors(x) if y in x0_set]
-        best = max((target.log_pi(y) for y in inside), default=-math.inf)
-        log_r = min(log_r, best - log_pis[x])
-    return NeighborhoodStats(m=m, log_r=log_r, x_star=x_star0, n_states=len(x0_set))
+    inside = space.mask(x0_set)
+    reached = len(_bfs(space, int(np.argmax(inside)), inside))
+    if reached != len(x0_set):
+        raise DisconnectedRestriction(
+            f"restriction splits into components ({reached} of {len(x0_set)} reachable)"
+        )
+    return _ratio_stats(space, inside)
 
 
-def _check_restriction_connected(target: DiscreteTarget, x0_set: set) -> None:
-    start = next(iter(x0_set))
-    seen = {start}
+def _bfs(space: Space, start: int, inside: np.ndarray) -> dict[int, int]:
+    """Graph distance from position ``start`` to every position it reaches
+    through states ``inside``."""
+    dist = {start: 0}
     queue = deque([start])
     while queue:
-        x = queue.popleft()
-        for y in target.neighbors(x):
-            if y in x0_set and y not in seen:
-                seen.add(y)
-                queue.append(y)
-    if seen != x0_set:
-        raise DisconnectedRestriction(
-            f"restriction splits into components ({len(seen)} of {len(x0_set)} reachable)"
-        )
+        i = queue.popleft()
+        for j in space.nbr[i].tolist():
+            if j >= 0 and inside[j] and j not in dist:
+                dist[j] = dist[i] + 1
+                queue.append(j)
+    return dist
 
 
 def tail_mass_bound(stats: NeighborhoodStats, k: int) -> float:
@@ -294,10 +357,11 @@ def exact_tail_mass(
 ) -> float:
     """Exactly normalized mass of the layer of states at graph distance ``k``
     from the mode (breadth-first layers of the neighborhood graph)."""
-    dist = distances_to_state(target, states, stats.x_star)
-    log_pis = np.array([target.log_pi(x) for x in states])
+    space = tabulate(target, states)
+    dist = distances_to_state(target, space, stats.x_star)
+    log_pis = space.log_pis
     lz = logsumexp(log_pis)
-    mask = np.array([dist[x] == k for x in states])
+    mask = np.array([dist[x] == k for x in space])
     if not mask.any():
         return 0.0
     return float(np.exp(logsumexp(log_pis[mask]) - lz))
@@ -307,16 +371,9 @@ def distances_to_state(
     target: DiscreteTarget, states: Sequence[State], origin: State
 ) -> dict[State, int]:
     """BFS distance from every enumerated state to ``origin``."""
-    state_set = set(states)
-    dist = {origin: 0}
-    queue = deque([origin])
-    while queue:
-        x = queue.popleft()
-        for y in target.neighbors(x):
-            if y in state_set and y not in dist:
-                dist[y] = dist[x] + 1
-                queue.append(y)
-    return dist
+    space = tabulate(target, states)
+    dist = _bfs(space, space.index[origin], np.ones(len(space), dtype=bool))
+    return {space[i]: d for i, d in dist.items()}
 
 
 def check_neighborhood_axioms(

@@ -9,6 +9,7 @@ touch spaces beyond a few thousand states.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -22,11 +23,13 @@ from .core import (
     CapExceeded,
     DiscreteMHError,
     DiscreteTarget,
+    IsolatedState,
     NeighborhoodStats,
     State,
     enumerate_space,
+    tabulate,
 )
-from .samplers import INFORMED, RANDOM_WALK, KernelSpec, log_acceptance, scan_at
+from .samplers import INFORMED, RANDOM_WALK, KernelSpec, log_clip_weight, log_mh_ratio
 
 EIG_RESIDUAL_RTOL = 1e-9
 
@@ -108,10 +111,6 @@ class DenseChain:
             return np.eye(self.n)
         return np.linalg.matrix_power(self.P, t)
 
-    def tv_from(self, x: State, t: int) -> float:
-        row = self.power(t)[self.index[x]]
-        return 0.5 * float(np.abs(row - self.pi).sum())
-
     def tv_all(self, t: int) -> np.ndarray:
         pt = self.power(t)
         return 0.5 * np.abs(pt - self.pi[None, :]).sum(axis=1)
@@ -126,37 +125,46 @@ def build_transition_matrix(
     """Exact dense transition matrix of the kernel on an enumerated space.
 
     Off-diagonal entries are proposal times acceptance, assembled in the log
-    domain; the diagonal absorbs rejections (including proposals onto
-    zero-probability states outside the enumeration).  Lazy kernels halve
-    every off-diagonal entry.
+    domain from the space's table (``states`` may be a :class:`Space`); the
+    diagonal absorbs rejections (including proposals onto zero-probability
+    states outside the enumeration).  Lazy kernels halve every off-diagonal
+    entry.
     """
     if states is None:
         states = enumerate_space(target, cap)
-    states = list(states)
     n = len(states)
     if n > cap:
         raise CapExceeded(f"{n} states exceeds cap {cap}")
     if n < 2:
         raise ValueError("need at least two states")
-    index = {s: i for i, s in enumerate(states)}
-    log_pis = np.array([target.log_pi(s) for s in states])
-    scans = [scan_at(target, s, lp, spec) for s, lp in zip(states, log_pis)]
+    space = tabulate(target, states)
+    if not space.deg.all():
+        raise IsolatedState(f"state {space[int(np.argmin(space.deg))]!r} has no neighbors")
+    i, k = np.nonzero(space.nbr >= 0)
+    j = space.nbr[i, k]
+    if spec.family == RANDOM_WALK:
+        log_k = -np.log(space.deg)
+        fwd, rev = log_k[i], log_k[j]
+    else:  # clipped ratio weights normalized per state; moves off the space weigh clip(0)
+        nbr_lp = np.where(space.nbr >= 0, space.log_pis[space.nbr], -np.inf)
+        log_w = log_clip_weight(nbr_lp - space.log_pis[:, None], spec.ell, spec.big_l)
+        log_w[np.arange(log_w.shape[1]) >= space.deg[:, None]] = -np.inf
+        log_z = logsumexp(log_w, axis=1)
+        if np.isneginf(log_z).any():
+            bad = space[int(np.argmin(log_z))]
+            raise IsolatedState(f"state {bad!r} has no neighbor with positive weight")
+        log_q = log_w - log_z[:, None]
+        fwd, rev = log_q[i, k], log_q[j, space.rev[i, k]]
+    log_alpha = log_mh_ratio(space.log_pis[i], space.log_pis[j], fwd, rev)
 
     P = np.zeros((n, n))
-    for i, sx in enumerate(scans):
-        for k, y in enumerate(sx.neighbors):
-            j = index.get(y)
-            if j is None:
-                continue
-            log_acc = min(0.0, log_acceptance(sx, scans[j], k))
-            P[i, j] = math.exp(sx.log_k(k) + log_acc)
-
+    P[i, j] = np.exp(fwd + np.minimum(0.0, log_alpha))
     np.fill_diagonal(P, 0.0)
     P[np.arange(n), np.arange(n)] = np.maximum(1.0 - P.sum(axis=1), 0.0)
     if spec.lazy:
         P = 0.5 * (P + np.eye(n))
-    max_degree = max(len(sx.neighbors) for sx in scans)
-    chain = DenseChain(states, P, log_pis, spec, name=target.name, max_degree=max_degree)
+    chain = DenseChain(space.states, P, space.log_pis, spec, name=target.name,
+                       max_degree=int(space.deg.max()))
     chain.validate()
     return chain
 
@@ -257,29 +265,48 @@ class TVCurve:
         return int(hits[0]) if len(hits) else None
 
 
-def tv_curve(chain: DenseChain, init: State, t_max: int) -> TVCurve:
-    """Total variation to stationarity for t = 0..t_max from one state."""
+def _tv_walk(chain: DenseChain, init: State):
+    """Total variation to stationarity at t = 0, 1, ... from one state,
+    walking the row vector v P^t."""
     v = np.zeros(chain.n)
     v[chain.index[init]] = 1.0
-    out = np.empty(t_max + 1)
-    for t in range(t_max + 1):
-        out[t] = 0.5 * float(np.abs(v - chain.pi).sum())
-        if t < t_max:
-            v = v @ chain.P
-    return TVCurve(tv=out)
+    while True:
+        yield 0.5 * float(np.abs(v - chain.pi).sum())
+        v = v @ chain.P
+
+
+def tv_curve(chain: DenseChain, init: State, t_max: int) -> TVCurve:
+    """Total variation to stationarity for t = 0..t_max from one state."""
+    return TVCurve(tv=np.fromiter(itertools.islice(_tv_walk(chain, init), t_max + 1), float))
+
+
+def tau_x(chain: DenseChain, x: State, epsilon: float, t_cap: int = 1_000_000) -> int | None:
+    """First t with TV from ``x`` at most epsilon, None past ``t_cap``.
+
+    TV from a point never increases in t.  The row vector v P^t is walked
+    for up to n steps, which cost about one dense matrix product; a later
+    tau is found by doubling and bisection over matrix powers.
+    """
+    walk = itertools.islice(_tv_walk(chain, x), min(chain.n, t_cap) + 1)
+    tau = next((t for t, tv in enumerate(walk) if tv <= epsilon), None)
+    if tau is None and t_cap > chain.n:
+        i = chain.index[x]
+        tau = _first_time(
+            lambda t: 0.5 * float(np.abs(chain.power(t)[i] - chain.pi).sum()), epsilon, t_cap
+        )
+    return tau
 
 
 def _first_time(tv_at, epsilon: float, t_cap: int) -> int | None:
     """First t with ``tv_at(t)`` at most epsilon, by doubling then bisection
-    (TV is monotone in t); None once the doubling passes ``t_cap``."""
+    (TV is monotone in t); None if ``tv_at(t_cap)`` exceeds epsilon."""
     if tv_at(0) <= epsilon:
         return 0
-    hi = 1
+    lo, hi = 0, 1
     while tv_at(hi) > epsilon:
-        hi *= 2
-        if hi > t_cap:
+        if hi >= t_cap:
             return None
-    lo = hi // 2
+        lo, hi = hi, min(2 * hi, t_cap)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if tv_at(mid) <= epsilon:
@@ -287,11 +314,6 @@ def _first_time(tv_at, epsilon: float, t_cap: int) -> int | None:
         else:
             lo = mid
     return hi
-
-
-def tau_x(chain: DenseChain, x: State, epsilon: float, t_cap: int = 1_000_000) -> int | None:
-    """First t with TV from ``x`` at most epsilon."""
-    return _first_time(lambda t: chain.tv_from(x, t), epsilon, t_cap)
 
 
 def mixing_time(chain: DenseChain, epsilon: float, t_cap: int = 1_000_000) -> int | None:
@@ -479,15 +501,12 @@ def boundary_log_ratio(
     target: DiscreteTarget, states: Sequence[State], x0: Sequence[State]
 ) -> float:
     """Largest log pi(outside neighbor) - log pi(inside state) over the rim."""
-    x0_set = set(x0)
-    worst = -math.inf
-    for x in x0:
-        lp_x = target.log_pi(x)
-        for y in target.neighbors(x):
-            if y in x0_set:
-                continue
-            worst = max(worst, target.log_pi(y) - lp_x)
-    return worst
+    space = tabulate(target, states)
+    inside = space.mask(x0)
+    rows = np.flatnonzero(inside)
+    nbr = space.nbr[rows]
+    rim = np.where((nbr >= 0) & ~inside[nbr], space.log_pis[nbr], -np.inf)
+    return float((rim - space.log_pis[rows, None]).max(initial=-math.inf))
 
 
 def warm_start_mass_threshold(epsilon: float, b: float, m: float = math.inf) -> float:

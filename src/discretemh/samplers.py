@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import logsumexp
 
-from .core import DiscreteMHError, DiscreteTarget, Flips, IsolatedState, State, philox_rng
+from .core import (AsymmetricNeighborhood, DiscreteMHError, DiscreteTarget, Flips,
+                   IsolatedState, State, philox_rng)
 
 RANDOM_WALK = "random-walk"
 INFORMED = "informed"
@@ -87,10 +88,6 @@ def log_clip_weight(log_u, ell: float, big_l: float):
     return np.clip(log_u, lo, hi)
 
 
-class AsymmetricNeighborhood(DiscreteMHError):
-    """A state is a neighbor of x, but x is not a neighbor of that state."""
-
-
 @dataclass
 class Scan:
     """A kernel's view of one state: its neighbors and, for informed kernels,
@@ -143,6 +140,13 @@ def scan_at(
     return Scan(x, x_log_pi, ns, log_w - log_z, lps, stats)
 
 
+def log_mh_ratio(lp_x, lp_y, log_k_fwd, log_k_rev):
+    """log of pi(y) K(y, x) / (pi(x) K(x, y)) from log pi at both ends and
+    the forward and reverse log proposal probabilities, on scalars or
+    arrays."""
+    return lp_y - lp_x + log_k_rev - log_k_fwd
+
+
 def log_acceptance(sx: Scan, sy: Scan, j: int) -> float:
     """log of pi(y) K(y, x) / (pi(x) K(x, y)) for the move from x =
     ``sx.state`` to its j-th neighbor y, given the scan ``sy`` at y.  The
@@ -156,9 +160,8 @@ def log_acceptance(sx: Scan, sy: Scan, j: int) -> float:
         raise AsymmetricNeighborhood(
             f"{sy.state!r} is a neighbor of {sx.state!r}, but not the other way round"
         ) from None
-    if sx.log_q is None:
-        return sy.log_pi - sx.log_pi + math.log(len(sx.neighbors)) - math.log(len(sy.neighbors))
-    return float(sx.log_pis[j] - sx.log_pi + sy.log_q[i] - sx.log_q[j])
+    lp_y = sy.log_pi if sx.log_pis is None else sx.log_pis[j]
+    return float(log_mh_ratio(sx.log_pi, lp_y, sx.log_k(j), sy.log_k(i)))
 
 
 def _move(target: DiscreteTarget, sx: Scan, j: int, y: State, spec: KernelSpec):
