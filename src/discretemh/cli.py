@@ -34,7 +34,6 @@ from .core import (
     enumerate_space,
     philox_rng,
     restricted_stats,
-    tabulate,
     unimodality_stats,
 )
 from .diagnostics import (
@@ -625,11 +624,11 @@ def _tabulated(cfg: Resolved, timed: _Stages):
 
     target = replace(target, log_pi=log_pi)
     try:
-        states = timed("enumerate", enumerate_space, target, int(cfg.certify["enum_cap"]))
+        space = timed("enumerate", enumerate_space, target, int(cfg.certify["enum_cap"]))
     except CapExceeded as exc:
         print(f"error: {exc}; shrink model.p or raise certify.enum_cap", file=sys.stderr)
         return None
-    return target, model_desc, timed("tabulate", tabulate, target, states), calls
+    return target, model_desc, space, calls
 
 
 def cmd_certify(cfg: Resolved, method: str) -> int:
@@ -672,7 +671,7 @@ def cmd_certify(cfg: Resolved, method: str) -> int:
         "gap_report": report.to_json_dict(),
         "checks": [],
     }
-    sizes = {"states": len(states), "nnz_P": int(np.count_nonzero(chain.P))}
+    sizes = {"states": len(states), "nnz_P": int(chain.P.count_nonzero())}
 
     def check(name: str, ok: bool, detail: str):
         payload["checks"].append({"name": name, "ok": bool(ok), "detail": detail})
@@ -722,7 +721,7 @@ def cmd_certify(cfg: Resolved, method: str) -> int:
             "build", build_transition_matrix, target,
             KernelSpec(cfg.spec.family, cfg.spec.ell, cfg.spec.big_l, lazy=False), states,
         )
-        drift_chain = plain if timed("eigensolve", plain.eigensystem)[0][0] >= -1e-10 else chain
+        drift_chain = plain if timed("eigensolve", plain.eigensystem)[0] >= -1e-10 else chain
         try:
             cert_obj = timed("drift", drift_certificate, drift_chain)
         except DiscreteMHError as exc:
@@ -773,7 +772,7 @@ def cmd_diagnose(cfg: Resolved) -> int:
         "config_hash": cfg.config_hash, "version": __version__,
         "model": model_desc, "stats": stats.to_json_dict(),
         "gap_report": report.to_json_dict(), "timings": timed,
-        "sizes": {"states": len(states), "nnz_P": int(np.count_nonzero(chain.P)),
+        "sizes": {"states": len(states), "nnz_P": int(chain.P.count_nonzero()),
                   "log_pi_calls": log_pi_calls[0]},
     }, indent=2, default=str))
     worst_start = chain.states[int(np.argmin(chain.log_pis))]

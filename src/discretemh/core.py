@@ -12,14 +12,14 @@ from __future__ import annotations
 import math
 from collections import deque
 from collections.abc import Callable, Hashable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import logsumexp
 
 State = Hashable
 
-#: States beyond this count are refused by dense diagnostics (O(n^3) eigensolves).
+#: States beyond this count are refused by the exact diagnostics.
 DEFAULT_ENUM_CAP = 4096
 
 
@@ -109,8 +109,7 @@ class DiscreteTarget:
     to call concurrently.  ``neighbors`` must be irreflexive and symmetric;
     it may return a :class:`Flips`, which samplers index by coordinate.
     ``neighbor_log_pis``, when provided, returns ``(neighbors, log_pi_array)``
-    in one call; samplers and dense diagnostics use it to batch informed
-    proposal scans.
+    in one call; samplers use it to batch informed proposal scans.
 
     ``stats_at``, when provided, builds the sufficient statistics of a state
     whose neighbors are a :class:`Flips`; a chain carries them from state to
@@ -179,32 +178,39 @@ class NeighborhoodStats:
         }
 
 
-def enumerate_space(target: DiscreteTarget, cap: int = DEFAULT_ENUM_CAP) -> list[State]:
-    """Breadth-first closure of the neighborhood relation from the seed state.
+def enumerate_space(target: DiscreteTarget, cap: int = DEFAULT_ENUM_CAP) -> Space:
+    """Breadth-first closure of the neighborhood relation from the seed state,
+    tabulated as it is found.
 
     States with ``log_pi = -inf`` are skipped: they are proposal-only and carry
-    no mass.  Returns the reachable states in sorted order, or raises
-    :class:`CapExceeded` once more than ``cap`` states have been found.
+    no mass.  Every reachable state has its ``log_pi`` and its neighborhood
+    evaluated once; the states come back in sorted order as a :class:`Space`.
+    Raises :class:`CapExceeded` once more than ``cap`` states have been found.
     """
     if cap <= 0:
         raise ValueError("cap must be positive")
     seed = target.seed_state
-    if target.log_pi(seed) == -math.inf:
+    found = {seed: target.log_pi(seed)}
+    if found[seed] == -math.inf:
         raise DegenerateSpace("seed state has zero probability")
-    seen = {seed}
+    rows = {}
     queue = deque([seed])
     while queue:
         x = queue.popleft()
-        for y in target.neighbors(x):
-            if y in seen:
+        rows[x] = list(target.neighbors(x))
+        for y in rows[x]:
+            if y in found:
                 continue
-            if target.log_pi(y) == -math.inf:
+            lp = target.log_pi(y)
+            if lp == -math.inf:
                 continue
-            seen.add(y)
-            if len(seen) > cap:
+            found[y] = lp
+            if len(found) > cap:
                 raise CapExceeded(f"more than {cap} reachable states")
             queue.append(y)
-    return sorted(seen)
+    # tabulate from what the search evaluated
+    return tabulate(replace(target, log_pi=found.__getitem__, neighbors=rows.__getitem__),
+                    sorted(found))
 
 
 def philox_rng(seed) -> np.random.Generator:
@@ -223,11 +229,11 @@ class Space(Sequence):
     ``nbr[i, k]`` for k < ``deg[i]``, the size of its neighborhood; -1 marks
     a neighbor outside the space (probability 0) and the padding past
     ``deg[i]``.  ``rev[i, k]`` is the move of ``nbr[i, k]`` back to i.
-    ``index`` maps each state to its position.
+    ``pos`` maps each state to its position.
     """
 
-    def __init__(self, states: list, index: dict, log_pis, nbr, deg, rev):
-        self.states, self.index = states, index
+    def __init__(self, states: list, pos: dict, log_pis, nbr, deg, rev):
+        self.states, self.pos = states, pos
         self.log_pis, self.nbr, self.deg, self.rev = log_pis, nbr, deg, rev
 
     def __len__(self) -> int:
@@ -236,10 +242,13 @@ class Space(Sequence):
     def __getitem__(self, i):
         return self.states[i]
 
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and self.states == list(other)
+
     def mask(self, xs) -> np.ndarray:
         """Boolean mask of the states ``xs`` over the space."""
         out = np.zeros(len(self.states), dtype=bool)
-        out[[self.index[x] for x in xs]] = True
+        out[[self.pos[x] for x in xs]] = True
         return out
 
 
@@ -253,8 +262,8 @@ def tabulate(target: DiscreteTarget, states: Sequence[State]) -> Space:
     if isinstance(states, Space):
         return states
     states = list(states)
-    index = {x: i for i, x in enumerate(states)}
-    rows = [[index.get(y, -1) for y in target.neighbors(x)] for x in states]
+    pos = {x: i for i, x in enumerate(states)}
+    rows = [[pos.get(y, -1) for y in target.neighbors(x)] for x in states]
     deg = np.array([len(r) for r in rows], dtype=np.intp)
     nbr = np.full((len(states), max(deg, default=0)), -1, dtype=np.intp)
     rev = nbr.copy()
@@ -269,7 +278,7 @@ def tabulate(target: DiscreteTarget, states: Sequence[State]) -> Space:
             )
         rev[i, k] = move[j, i]
     log_pis = np.array([target.log_pi(x) for x in states], dtype=float)
-    return Space(states, index, log_pis, nbr, deg, rev)
+    return Space(states, pos, log_pis, nbr, deg, rev)
 
 
 def _ratio_stats(space: Space, inside: np.ndarray) -> NeighborhoodStats:
@@ -315,7 +324,7 @@ def restricted_stats(
     """
     space = tabulate(target, states)
     x0_set = set(x0)
-    if not all(x in space.index for x in x0_set):
+    if not all(x in space.pos for x in x0_set):
         raise ValueError("x0 must be a subset of the enumerated states")
     if len(x0_set) < 2:
         raise DegenerateSpace("restriction has fewer than two states")
@@ -372,7 +381,7 @@ def distances_to_state(
 ) -> dict[State, int]:
     """BFS distance from every enumerated state to ``origin``."""
     space = tabulate(target, states)
-    dist = _bfs(space, space.index[origin], np.ones(len(space), dtype=bool))
+    dist = _bfs(space, space.pos[origin], np.ones(len(space), dtype=bool))
     return {space[i]: d for i, d in dist.items()}
 
 

@@ -1,10 +1,12 @@
-"""Exact dense diagnostics on enumerable spaces.
+"""Exact diagnostics on enumerable spaces.
 
-Builds the literal transition matrix of either kernel family, then reads
-off spectral gaps, restricted spectral gaps, total-variation curves,
-expected hitting times and the named relaxation/mixing bounds.  Dense
-eigensolves keep everything exact at desk scale; nothing here is meant to
-touch spaces beyond a few thousand states.
+Builds the transition matrix of either kernel family as a sparse (CSR)
+array with one stored entry per move and per diagonal, then reads off
+spectral gaps, restricted spectral gaps, total-variation curves, expected
+hitting times and the named relaxation/mixing bounds.  Eigenvalues come
+from Lanczos iterations (ARPACK) on the pi-symmetrized matrix, started from
+a fixed vector so that repeated solves agree to the last bit; the spaces
+are those ``enumerate_space`` reaches under its cap.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import eigh, null_space
 from scipy.special import logsumexp
 
 from .core import (
@@ -25,13 +26,13 @@ from .core import (
     DiscreteTarget,
     IsolatedState,
     NeighborhoodStats,
+    Space,
     State,
     enumerate_space,
+    philox_rng,
     tabulate,
 )
 from .samplers import INFORMED, RANDOM_WALK, KernelSpec, log_clip_weight, log_mh_ratio
-
-EIG_RESIDUAL_RTOL = 1e-9
 
 
 class NotReversible(DiscreteMHError):
@@ -47,19 +48,18 @@ class DegenerateRestriction(DiscreteMHError):
 
 
 class DenseChain:
-    """A transition matrix, its stationary law and cached eigensystem."""
+    """A chain on a tabulated space: its transition matrix ``P`` (a scipy
+    CSR array), its stationary law and its cached extreme eigenvalues.
 
-    def __init__(self, states: list, P: np.ndarray, log_pis: np.ndarray,
-                 spec: KernelSpec, name: str = "", max_degree: int | None = None):
-        self.states = list(states)
-        self.index = {s: i for i, s in enumerate(self.states)}
-        self.P = P
-        self.log_pis = np.asarray(log_pis, dtype=float)
+    ``states`` and ``index`` (state to position) are the space's own.
+    """
+
+    def __init__(self, space: Space, P, spec: KernelSpec, name: str = ""):
+        self.states, self.index, self.log_pis = space.states, space.pos, space.log_pis
+        self.P, self.spec, self.name = P, spec, name
         self.pi = np.exp(self.log_pis - logsumexp(self.log_pis))
-        self.spec = spec
-        self.name = name
-        self.max_degree = max_degree if max_degree is not None else int((P > 0).sum(axis=1).max())
-        self._eig: tuple | None = None
+        self.max_degree = int(space.deg.max())
+        self._eig: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -81,39 +81,49 @@ class DenseChain:
             raise NotReversible(f"detailed balance violated (rel err {err:.2e})")
 
     def detailed_balance_error(self) -> float:
-        flow = self.pi[:, None] * self.P
-        denom = np.maximum(np.maximum(flow, flow.T), 1e-300)
-        return float((np.abs(flow - flow.T) / denom).max())
+        """Largest relative gap between pi(x) P(x, y) and pi(y) P(y, x) over
+        the stored entries."""
+        i, j = self.P.nonzero()
+        flow, back = self.pi[i] * self.P[i, j], self.pi[j] * self.P[j, i]
+        denom = np.maximum(np.maximum(flow, back), 1e-300)
+        return float((np.abs(flow - back) / denom).max(initial=0.0))
 
-    def symmetrized(self) -> np.ndarray:
-        # sqrt(P o P^T) equals D^{1/2} P D^{-1/2} under detailed balance and
-        # stays finite where pi underflows.
-        s = np.sqrt(self.P * self.P.T)
-        np.fill_diagonal(s, np.diag(self.P))
-        return s
-
-    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
+    def eigensystem(self) -> np.ndarray:
+        """Ascending (lambda_min, lambda_2, lambda_1) of the pi-symmetrized
+        matrix (every eigenvalue when n <= 3); computed once."""
         if self._eig is None:
             if self.detailed_balance_error() > 1e-8:
                 raise NotReversible("chain is not reversible; no symmetric eigensystem")
-            s = self.symmetrized()
-            vals, vecs = eigh(s)
-            resid = float(np.abs(s @ vecs - vecs * vals).max())
-            scale = float(np.abs(s).max())
-            if resid > EIG_RESIDUAL_RTOL * max(scale, 1.0):
-                raise ValueError(f"eigensolve residual {resid:.2e} too large")
-            self._eig = (vals, vecs)
+            self._eig = _extreme_eigvals(_symmetrized(self.P), 3, "BE")
         return self._eig
 
-    def power(self, t: int) -> np.ndarray:
-        """P^t by repeated squaring; stable even at extreme mass ratios."""
-        if t == 0:
-            return np.eye(self.n)
-        return np.linalg.matrix_power(self.P, t)
 
-    def tv_all(self, t: int) -> np.ndarray:
-        pt = self.power(t)
-        return 0.5 * np.abs(pt - self.pi[None, :]).sum(axis=1)
+def _symmetrized(P):
+    """sqrt(P o P^T) off the diagonal and P's diagonal on it: D^{1/2} P D^{-1/2}
+    under detailed balance, finite where pi underflows."""
+    from scipy import sparse
+
+    diag = sparse.diags_array(P.diagonal())
+    off = P - diag
+    return off.multiply(off.T).sqrt() + diag
+
+
+def _extreme_eigvals(mat, k: int, which: str) -> np.ndarray:
+    """``k`` extreme eigenvalues of a symmetric sparse matrix or operator,
+    ascending.  ARPACK starts from a fixed vector (its own start is random
+    per call).  Below four states, where ARPACK cannot run, and where it
+    stalls on clustered extreme eigenvalues (a nearly reducible chain), every
+    eigenvalue of the dense matrix is returned instead."""
+    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+
+    n = mat.shape[0]
+    try:
+        if n > 3:
+            v0 = philox_rng(0).standard_normal(n)
+            return np.sort(eigsh(mat, k=k, which=which, v0=v0, return_eigenvectors=False))
+    except ArpackNoConvergence:
+        pass
+    return np.linalg.eigvalsh(mat @ np.eye(n))
 
 
 def build_transition_matrix(
@@ -122,14 +132,16 @@ def build_transition_matrix(
     states: Sequence[State] | None = None,
     cap: int = DEFAULT_ENUM_CAP,
 ) -> DenseChain:
-    """Exact dense transition matrix of the kernel on an enumerated space.
+    """Exact transition matrix of the kernel on an enumerated space, as CSR.
 
     Off-diagonal entries are proposal times acceptance, assembled in the log
     domain from the space's table (``states`` may be a :class:`Space`); the
     diagonal absorbs rejections (including proposals onto zero-probability
     states outside the enumeration).  Lazy kernels halve every off-diagonal
-    entry.
+    entry.  Entries that underflow to zero are not stored.
     """
+    from scipy import sparse
+
     if states is None:
         states = enumerate_space(target, cap)
     n = len(states)
@@ -157,14 +169,13 @@ def build_transition_matrix(
         fwd, rev = log_q[i, k], log_q[j, space.rev[i, k]]
     log_alpha = log_mh_ratio(space.log_pis[i], space.log_pis[j], fwd, rev)
 
-    P = np.zeros((n, n))
-    P[i, j] = np.exp(fwd + np.minimum(0.0, log_alpha))
-    np.fill_diagonal(P, 0.0)
-    P[np.arange(n), np.arange(n)] = np.maximum(1.0 - P.sum(axis=1), 0.0)
+    off = np.exp(fwd + np.minimum(0.0, log_alpha))
+    diag = np.maximum(1.0 - np.bincount(i, off, minlength=n), 0.0)
     if spec.lazy:
-        P = 0.5 * (P + np.eye(n))
-    chain = DenseChain(space.states, P, space.log_pis, spec, name=target.name,
-                       max_degree=int(space.deg.max()))
+        off, diag = 0.5 * off, 0.5 * (diag + 1.0)
+    P = sparse.csr_array((np.r_[off, diag], (np.r_[i, :n], np.r_[j, :n])), shape=(n, n))
+    P.eliminate_zeros()
+    chain = DenseChain(space, P, spec, name=target.name)
     chain.validate()
     return chain
 
@@ -204,15 +215,15 @@ class GapReport:
 
 
 def spectral_gap(chain: DenseChain) -> GapReport:
-    """Exact spectral gap via the pi-symmetrized dense eigensolve.
+    """Exact spectral gap from the extreme eigenvalues of the pi-symmetrized
+    matrix.
 
     ``gap`` guards against negative eigenvalues; ``rayleigh_gap`` is one
     minus the second-largest eigenvalue.  They agree for lazy chains, whose
     spectra are nonnegative.
     """
-    vals, _ = chain.eigensystem()
-    lam2 = float(vals[-2])
-    lam_min = float(vals[0])
+    vals = chain.eigensystem()
+    lam_min, lam2 = float(vals[0]), float(vals[-2])
     return GapReport(
         gap=1.0 - max(lam2, abs(lam_min)),
         rayleigh_gap=1.0 - lam2,
@@ -227,33 +238,31 @@ def restricted_gap(chain: DenseChain, x0: Sequence[State]) -> float:
     """Smallest restricted Rayleigh quotient over non-constant functions.
 
     Both the Dirichlet form and the variance form are restricted to pairs in
-    ``x0``.  Substituting g = sqrt(pi) f turns the variance form into
-    ``mass * I`` minus a rank-one projector, so the infimum is an ordinary
-    symmetric eigenvalue problem on the complement of sqrt(pi); this stays
-    exact even when the restriction spans hundreds of orders of magnitude
-    in mass.  States whose probability underflows to zero cannot move
-    either quadratic form and are dropped; if fewer than two states remain
-    the variance form is identically zero.
+    ``x0``.  Substituting g = sqrt(pi) f turns the Dirichlet form into a
+    matrix A with spectrum in [0, 2] and sqrt(pi) in its kernel, and the
+    variance form into ``mass * I`` on the complement of sqrt(pi); with
+    sqrt(pi) lifted to eigenvalue 2, the infimum is the smallest eigenvalue,
+    exact even across hundreds of orders of magnitude in mass.  States whose
+    probability underflows to zero cannot move either quadratic form and are
+    dropped; if fewer than two remain the variance form vanishes.
     """
+    from scipy import sparse
+    from scipy.sparse.linalg import LinearOperator
+
     idx = np.array([chain.index[s] for s in x0])
     if len(idx) < 2:
         raise DegenerateRestriction("restriction needs at least two states")
+    idx = idx[chain.pi[idx] > 0.0]
     pi0 = chain.pi[idx]
-    live = pi0 > 0.0
-    idx = idx[live]
-    pi0 = pi0[live]
     if len(idx) < 2:
         raise DegenerateRestriction("variance form vanishes on the restriction")
     mass = float(pi0.sum())
     s0 = np.sqrt(pi0)
-    sub = chain.P[np.ix_(idx, idx)]
-    sym = np.sqrt(sub * sub.T)
-    np.fill_diagonal(sym, np.diag(sub))
-    inside = sub.sum(axis=1)  # P(x, x0), diagonal included
-    a_mat = np.diag(inside) - sym
-    q = null_space(s0[None, :])
-    reduced = q.T @ a_mat @ q
-    return float(np.linalg.eigvalsh(reduced)[0] / mass)
+    sub = chain.P[idx][:, idx]
+    a_mat = sparse.diags_array(sub.sum(axis=1)) - _symmetrized(sub)  # P(x, x0) on the diagonal
+    lifted = LinearOperator(a_mat.shape, dtype=float, matvec=lambda g: (
+        a_mat @ g.ravel() + s0 * (2.0 / mass * (s0 @ g.ravel()))))
+    return float(_extreme_eigvals(lifted, 1, "SA")[0] / mass)
 
 
 @dataclass
@@ -284,15 +293,16 @@ def tau_x(chain: DenseChain, x: State, epsilon: float, t_cap: int = 1_000_000) -
     """First t with TV from ``x`` at most epsilon, None past ``t_cap``.
 
     TV from a point never increases in t.  The row vector v P^t is walked
-    for up to n steps, which cost about one dense matrix product; a later
-    tau is found by doubling and bisection over matrix powers.
+    for up to n steps; a later tau is found by doubling and bisection over
+    powers of the densified matrix.
     """
     walk = itertools.islice(_tv_walk(chain, x), min(chain.n, t_cap) + 1)
     tau = next((t for t, tv in enumerate(walk) if tv <= epsilon), None)
     if tau is None and t_cap > chain.n:
-        i = chain.index[x]
+        dense, i = chain.P.toarray(), chain.index[x]
         tau = _first_time(
-            lambda t: 0.5 * float(np.abs(chain.power(t)[i] - chain.pi).sum()), epsilon, t_cap
+            lambda t: 0.5 * float(np.abs(np.linalg.matrix_power(dense, t)[i] - chain.pi).sum()),
+            epsilon, t_cap,
         )
     return tau
 
@@ -309,30 +319,25 @@ def _first_time(tv_at, epsilon: float, t_cap: int) -> int | None:
         lo, hi = hi, min(2 * hi, t_cap)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if tv_at(mid) <= epsilon:
-            hi = mid
-        else:
-            lo = mid
+        lo, hi = (lo, mid) if tv_at(mid) <= epsilon else (mid, hi)
     return hi
-
-
-def mixing_time(chain: DenseChain, epsilon: float, t_cap: int = 1_000_000) -> int | None:
-    """Worst-case mixing time over all initial states."""
-    return _first_time(lambda t: float(chain.tv_all(t).max()), epsilon, t_cap)
 
 
 def expected_hitting_time(chain: DenseChain, target_state: State) -> np.ndarray:
     """Expected steps to reach ``target_state``, per starting state.
 
-    Solves the linear system with the target row and column removed; the
-    entry for the target itself is zero.
+    Solves the sparse linear system with the target row and column removed;
+    the entry for the target itself is zero.
     """
+    from scipy import sparse
+    from scipy.sparse.linalg import splu
+
     i = chain.index[target_state]
-    keep = [k for k in range(chain.n) if k != i]
-    minor = chain.P[np.ix_(keep, keep)]
+    keep = np.array([k for k in range(chain.n) if k != i])
+    minor = chain.P[keep][:, keep]
     try:
-        h = np.linalg.solve(np.eye(len(keep)) - minor, np.ones(len(keep)))
-    except np.linalg.LinAlgError as exc:
+        h = splu(sparse.eye_array(len(keep), format="csc") - minor.tocsc()).solve(np.ones(len(keep)))
+    except RuntimeError as exc:  # exactly singular
         raise NotIrreducible(str(exc)) from exc
     if not np.all(np.isfinite(h)) or np.any(h < 0):
         raise NotIrreducible("hitting-time system produced invalid values")

@@ -40,8 +40,9 @@ class FlowGraph:
 
     ``live`` lists the participating state indices (a restriction or the
     whole space), topologically ordered by increasing probability.  ``t_mat``
-    holds the auxiliary chain restricted to live transient states: row z is
-    the analyzed chain's row renormalized on z's uphill targets.
+    holds the auxiliary chain restricted to live transient states as a
+    strictly upper-triangular CSR array in ``live`` order: row z is the
+    analyzed chain's row renormalized on z's uphill targets.
     """
 
     chain: DenseChain
@@ -49,7 +50,7 @@ class FlowGraph:
     live: list
     x_star: int
     edges: list  # (i, j) uphill index pairs, pi(j) >= S * pi(i)
-    t_mat: np.ndarray
+    t_mat: object
     escape: np.ndarray  # P(z, uphill targets of z), indexed like live
     restricted: bool
 
@@ -72,58 +73,50 @@ def build_flow_graph(
     state to the neighbor set to route through.  Chosen neighbors must
     still strictly increase probability, which is verified.
     """
+    from scipy import sparse
+
     if not s_threshold > 1.0:
         raise ValueError("S must exceed 1")
     log_s = math.log(s_threshold)
-    if x0 is None:
-        live = list(range(chain.n))
-        restricted = False
-    else:
-        live = sorted(chain.index[s] for s in x0)
-        restricted = True
+    restricted = x0 is not None
+    live = [chain.index[s] for s in x0] if restricted else range(chain.n)
     lp = chain.log_pis
     live = sorted(live, key=lambda i: (lp[i], _sort_key(chain.states[i])))
-    pos = {i: k for k, i in enumerate(live)}
+    pos = np.full(chain.n, -1)
+    pos[live] = np.arange(len(live))
     x_star = live[-1]
 
-    k = len(live)
-    t_mat = np.zeros((k, k))
-    escape = np.zeros(k)
-    edges = []
-    live_set = set(live)
-    slack = 1e-9 * max(1.0, abs(log_s))
-    for a_pos, a in enumerate(live):
-        if a == x_star:
-            continue
-        if uphill is None:
-            targets = [
-                b
-                for b in np.nonzero(chain.P[a] > 0)[0]
-                if b != a and b in live_set and lp[b] - lp[a] >= log_s - slack
-            ]
-        else:
-            targets = [chain.index[s] for s in uphill(chain.states[a])]
-            for b in targets:
-                if b not in live_set or not lp[b] > lp[a] or chain.P[a, b] <= 0:
-                    raise ValueError(
-                        f"custom uphill set at {chain.states[a]!r} includes an "
-                        f"invalid move to {chain.states[b]!r}"
-                    )
-        if not targets:
-            raise HypothesisViolated(
-                f"state {chain.states[a]!r} has no uphill neighbor at ratio {s_threshold:g}"
+    if uphill is None:
+        a, b = chain.P.nonzero()  # moves with positive probability
+        gain = lp[b] - lp[a]
+        slack = 1e-9 * max(1.0, abs(log_s))
+        on = (pos[a] >= 0) & (pos[b] >= 0) & (gain > 0) & (gain >= log_s - slack)
+        order = np.argsort(pos[a[on]], kind="stable")  # live order, then by target
+        a, b = a[on][order], b[on][order]
+    else:
+        pairs = [(i, chain.index[s]) for i in live[:-1] for s in uphill(chain.states[i])]
+        a, b = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+        bad = np.flatnonzero((pos[b] < 0) | ~(lp[b] > lp[a]) | ~(chain.P[a, b] > 0))
+        if len(bad):
+            raise ValueError(
+                f"custom uphill set at {chain.states[a[bad[0]]]!r} includes an "
+                f"invalid move to {chain.states[b[bad[0]]]!r}"
             )
-        total = float(chain.P[a, targets].sum())
-        escape[a_pos] = total
-        for b in targets:
-            t_mat[a_pos, pos[b]] = chain.P[a, b] / total
-            edges.append((a, b))
+    p_ab = chain.P[a, b]
+    k = len(live)
+    escape = np.bincount(pos[a], p_ab, minlength=k)
+    stuck = np.flatnonzero(escape[:-1] == 0)
+    if len(stuck):
+        raise HypothesisViolated(
+            f"state {chain.states[live[stuck[0]]]!r} has no uphill neighbor at ratio {s_threshold:g}"
+        )
+    t_mat = sparse.csr_array((p_ab / escape[pos[a]], (pos[a], pos[b])), shape=(k, k))
     return FlowGraph(
         chain=chain,
         s_threshold=s_threshold,
         live=live,
         x_star=x_star,
-        edges=edges,
+        edges=list(zip(a.tolist(), b.tolist())),
         t_mat=t_mat,
         escape=escape,
         restricted=restricted,
@@ -201,9 +194,9 @@ def _count_paths(fg: FlowGraph) -> np.ndarray:
     k = fg.n_live
     counts = np.zeros(k)
     counts[-1] = 1.0
-    adj = fg.t_mat > 0
+    t = fg.t_mat
     for a in range(k - 2, -1, -1):
-        counts[a] = counts[adj[a]].sum()
+        counts[a] = counts[t.indices[t.indptr[a]:t.indptr[a + 1]]].sum()
     return counts
 
 
@@ -226,8 +219,8 @@ def upward_paths(fg: FlowGraph, cap: int = ENUMERATION_CAP) -> list[list[tuple]]
     paths[-1] = [(1.0, ())]
     for a in range(k - 2, -1, -1):
         out = []
-        for b in np.nonzero(fg.t_mat[a] > 0)[0]:
-            step = fg.t_mat[a, b]
+        row = slice(fg.t_mat.indptr[a], fg.t_mat.indptr[a + 1])
+        for b, step in zip(fg.t_mat.indices[row], fg.t_mat.data[row]):
             for prob, edge_seq in paths[b]:
                 out.append((step * prob, ((a, int(b)),) + edge_seq))
         paths[a] = out
@@ -373,45 +366,41 @@ def _max_congestion(fg: FlowGraph, q: float, load: dict):
 
 
 def _congestion_dp(fg: FlowGraph, q: float):
-    chain = fg.chain
-    k = fg.n_live
-    t = fg.t_mat
-    weights = _edge_weights(fg, q)
-    w_mat = np.zeros((k, k))
-    pos = {i: p for p, i in enumerate(fg.live)}
-    for a, b in fg.edges:
-        w_mat[pos[a], pos[b]] = weights[(a, b)]
-    wt = w_mat * t
+    """Edge loads in closed form over the DAG.  With R = (I - T)^-1 the
+    visit matrix (T is strictly upper triangular, so R is too), the load of
+    an edge needs only the column m = R (W o T) 1 and the row vectors
+    alpha R, beta R and (alpha R)(W o T) R: three triangular solves."""
+    from scipy import sparse
+    from scipy.sparse.linalg import spsolve_triangular
 
-    eye = np.eye(k)
-    r_visit = np.linalg.solve(eye - t, eye)  # visit probabilities, DAG so finite
-    m_vec = r_visit @ wt.sum(axis=1)  # expected w-length to the mode
-    a_len = r_visit @ wt @ r_visit  # expected accumulated length at visit
-
+    chain, t = fg.chain, fg.t_mat
+    if not fg.edges:
+        return 0.0, None
+    a, b = np.array(fg.edges, dtype=np.intp).T
+    pos = np.empty(chain.n, dtype=np.intp)
+    pos[fg.live] = np.arange(fg.n_live)
+    ap, bp = pos[a], pos[b]
+    w = np.fromiter(_edge_weights(fg, q).values(), float, len(a))  # in edge order
+    t_e = t[ap, bp]
+    wt = sparse.csr_array((w * t_e, (ap, bp)), shape=t.shape)
+    i_minus_t = sparse.eye_array(fg.n_live, format="csr") - t
+    m_vec = spsolve_triangular(i_minus_t, wt.sum(axis=1), lower=False)  # expected w-length to the mode
     pis = chain.pi[fg.live]
     mass = float(pis.sum())
     t_sum = float(pis @ m_vec)
     alpha = pis * (mass - pis)
     beta = pis * (t_sum - pis * m_vec)
-    s_alpha_r = alpha @ r_visit
-    s_alpha_a = alpha @ a_len
-    s_beta_r = beta @ r_visit
+    # row vectors times R: solves against the lower-triangular transpose
+    rows = spsolve_triangular(i_minus_t.T, np.stack([alpha, beta], axis=1), lower=True)
+    s_alpha_r, s_beta_r = rows.T
+    s_alpha_a = spsolve_triangular(i_minus_t.T, s_alpha_r @ wt, lower=True)  # expected length at a visit
 
-    worst = None
-    a_exact = 0.0
-    for a, b in fg.edges:
-        ap, bp = pos[a], pos[b]
-        w = weights[(a, b)]
-        l_e = t[ap, bp] * (
-            (w + m_vec[bp]) * s_alpha_r[ap] + s_alpha_a[ap] + s_beta_r[ap]
-        )
-        for tail, head in ((a, b), (b, a)):
-            q_e = chain.pi[tail] * chain.P[tail, head]
-            ratio = l_e / (q_e * w)
-            if ratio > a_exact:
-                a_exact = ratio
-                worst = (chain.states[tail], chain.states[head])
-    return a_exact, worst
+    l_e = t_e * ((w + m_vec[bp]) * s_alpha_r[ap] + s_alpha_a[ap] + s_beta_r[ap])
+    q_e = np.stack([chain.pi[a] * chain.P[a, b], chain.pi[b] * chain.P[b, a]], axis=1)
+    ratio = (l_e[:, None] / (q_e * w[:, None])).ravel()  # each edge uphill, then downhill
+    k = int(np.argmax(ratio))
+    tail, head = (a[k // 2], b[k // 2]) if k % 2 == 0 else (b[k // 2], a[k // 2])
+    return float(ratio[k]), (chain.states[tail], chain.states[head])
 
 
 # ---------------------------------------------------------------------------
@@ -429,17 +418,14 @@ class DriftCertificate:
 
     lam: float
     v: np.ndarray = field(repr=False)
-    states: list = field(repr=False)
+    index: dict = field(repr=False)  # state -> position in v
     x_star: State
     worst_state: State
     min_eigenvalue: float
     log_pi_min: float
 
     def v_of(self, x: State) -> float:
-        return float(self.v[self._index[x]])
-
-    def __post_init__(self):
-        self._index = {s: i for i, s in enumerate(self.states)}
+        return float(self.v[self.index[x]])
 
     def tv_bound(self, x: State, t: int) -> float:
         return 2.0 * self.v_of(x) * self.lam ** (t + 1)
@@ -476,7 +462,7 @@ def drift_certificate(chain: DenseChain) -> DriftCertificate:
     ratios[x_star_idx] = -np.inf
     worst_idx = int(np.argmax(ratios))
     lam = float(ratios[worst_idx])
-    min_eig = float(chain.eigensystem()[0][0])
+    min_eig = float(chain.eigensystem()[0])
     if min_eig < -1e-10:
         raise ValueError(
             f"chain has negative eigenvalue {min_eig:.3g}; certify the lazy chain instead"
@@ -488,7 +474,7 @@ def drift_certificate(chain: DenseChain) -> DriftCertificate:
     return DriftCertificate(
         lam=lam,
         v=v,
-        states=chain.states,
+        index=chain.index,
         x_star=chain.states[x_star_idx],
         worst_state=chain.states[worst_idx],
         min_eigenvalue=min_eig,

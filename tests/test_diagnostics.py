@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
+import dense_oracle
 from discretemh import toy, varsel
-from discretemh.core import enumerate_space, unimodality_stats
+from discretemh.core import DiscreteTarget, enumerate_space, tabulate, unimodality_stats
 from discretemh.diagnostics import (
     DegenerateRestriction,
     DenseChain,
@@ -13,7 +15,6 @@ from discretemh.diagnostics import (
     build_transition_matrix,
     c_of_rho,
     expected_hitting_time,
-    mixing_time,
     restricted_gap,
     spectral_gap,
     tau_x,
@@ -28,10 +29,18 @@ RW = KernelSpec()
 RW_LAZY = KernelSpec(lazy=True)
 
 
+def three_state_chain(p):
+    """A chain with matrix ``p`` on three states, uniform pi."""
+    target = DiscreteTarget(
+        log_pi=lambda s: 0.0, neighbors=lambda s: [t for t in range(3) if t != s], seed_state=0
+    )
+    return DenseChain(tabulate(target, [0, 1, 2]), sparse.csr_array(p), RW)
+
+
 class TestBuildMatrix:
     def test_two_state_flip(self):
         chain = build_transition_matrix(toy.two_state_target(0.0), RW)
-        assert np.allclose(chain.P, [[0.0, 1.0], [1.0, 0.0]])
+        assert np.allclose(chain.P.toarray(), [[0.0, 1.0], [1.0, 0.0]])
 
     def test_example3_row_vs_hand_oracle(self, example3_v_n1):
         # single-flip cube: every model has exactly 3 neighbors, so the row at
@@ -45,7 +54,7 @@ class TestBuildMatrix:
             ratio = math.exp(min(0.0, example3_v_n1.log_pi(nb) - lp0))
             row[chain.index[nb]] = ratio / 3.0
         row[i] = 1.0 - row.sum()
-        assert np.allclose(chain.P[i], row, atol=1e-15)
+        assert np.allclose(chain.P.toarray()[i], row, atol=1e-15)
         assert chain.P[i].sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_rows_validated_on_all_fixtures(self, fixture_zoo, zoo_enumerations):
@@ -60,7 +69,7 @@ class TestBuildMatrix:
         states = enumerate_space(example3_v2_ads, 100)
         plain = build_transition_matrix(example3_v2_ads, RW, states)
         lazy = build_transition_matrix(example3_v2_ads, RW_LAZY, states)
-        assert np.allclose(lazy.P, (plain.P + np.eye(plain.n)) / 2, atol=1e-15)
+        assert np.allclose(lazy.P.toarray(), (plain.P.toarray() + np.eye(plain.n)) / 2, atol=1e-15)
 
     def test_soft_space_rejection_mass(self):
         # out-of-cap proposals are rejected in place: diagonal absorbs them
@@ -105,7 +114,7 @@ class TestSpectralGap:
 
     def test_not_reversible_rejected(self):
         p = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
-        chain = DenseChain([0, 1, 2], p, np.zeros(3), RW)
+        chain = three_state_chain(p)
         with pytest.raises(NotReversible):
             chain.eigensystem()
 
@@ -156,7 +165,7 @@ class TestTvAndHitting:
         chain = build_transition_matrix(example3_v2_ads, RW_LAZY, states)
         curve = tv_curve(chain, (0, 0, 0), 200)
         assert curve.tau(0.25) == tau_x(chain, (0, 0, 0), 0.25)
-        assert mixing_time(chain, 0.25) == max(
+        assert dense_oracle.mixing_time(chain.P.toarray(), chain.pi, 0.25) == max(
             tau_x(chain, s, 0.25) for s in states
         )
 
@@ -169,7 +178,7 @@ class TestTvAndHitting:
             report = spectral_gap(chain)
             for eps in (0.25, 0.1):
                 bound = report.relaxation_time * math.log(1.0 / (eps * chain.pi.min()))
-                assert mixing_time(chain, eps) <= bound, name
+                assert dense_oracle.mixing_time(chain.P.toarray(), chain.pi, eps) <= bound, name
 
     def test_hitting_time_zero_at_target(self, example3_v2_ads):
         states = enumerate_space(example3_v2_ads, 100)
@@ -187,7 +196,7 @@ class TestTvAndHitting:
 
     def test_reducible_detected(self):
         p = np.eye(3)
-        chain = DenseChain([0, 1, 2], p, np.zeros(3), RW)
+        chain = three_state_chain(p)
         with pytest.raises(NotIrreducible):
             expected_hitting_time(chain, 0)
 

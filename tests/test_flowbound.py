@@ -303,7 +303,7 @@ class TestDriftCertificate:
         plain = build_transition_matrix(
             target, KernelSpec("informed", ell=float(stats.m), big_l=stats.r), states
         )
-        if plain.eigensystem()[0][0] < -1e-10:
+        if plain.eigensystem()[0] < -1e-10:
             with pytest.raises(ValueError):
                 drift_certificate(plain)
 

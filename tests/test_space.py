@@ -1,7 +1,7 @@
 """Differential checks of the tabulated space against the slow paths.
 
-``tabulate`` evaluates ``log_pi`` once per state and stores every
-neighborhood as positions.  Statistics, matrices and mixing times read from
+``enumerate_space`` and ``tabulate`` evaluate ``log_pi`` and the
+neighborhood once per state and store every neighborhood as positions.  Statistics, matrices and mixing times read from
 the table must equal what the per-state, per-neighbor loops compute: the
 unimodality statistics by brute force, the matrix built from a plain state
 list, and tau by doubling and bisection over dense matrix powers.
@@ -9,15 +9,18 @@ list, and tau by doubling and bisection over dense matrix powers.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import dense_oracle
 from discretemh.core import (
     DiscreteTarget,
     Space,
     distances_to_state,
+    enumerate_space,
     restricted_stats,
     tabulate,
     unimodality_stats,
@@ -61,16 +64,19 @@ def _brute_boundary(target, x0):
 
 @pytest.mark.parametrize("name", ZOO_NAMES)
 def test_table_is_consistent(fixture_zoo, zoo_enumerations, name):
-    target, states = fixture_zoo[name], zoo_enumerations[name]
+    target, enumerated = fixture_zoo[name], zoo_enumerations[name]
+    states = list(enumerated)
     space = tabulate(target, states)
     assert list(space) == states and len(space) == len(states)
+    for table in ("log_pis", "nbr", "deg", "rev"):  # the enumeration's own table
+        assert np.array_equal(getattr(space, table), getattr(enumerated, table))
     assert np.array_equal(space.log_pis, [target.log_pi(x) for x in states])
     for i, x in enumerate(states):
         ns = list(target.neighbors(x))
         assert space.deg[i] == len(ns)
         for k, y in enumerate(ns):
             j = space.nbr[i, k]
-            assert j == space.index.get(y, -1)
+            assert j == space.pos.get(y, -1)
             if j >= 0:
                 assert space.nbr[j, space.rev[i, k]] == i
         assert (space.nbr[i, len(ns):] == -1).all()
@@ -78,7 +84,7 @@ def test_table_is_consistent(fixture_zoo, zoo_enumerations, name):
 
 @pytest.mark.parametrize("name", ZOO_NAMES)
 def test_stats_from_table_equal_brute_force(fixture_zoo, zoo_enumerations, name):
-    target, states = fixture_zoo[name], zoo_enumerations[name]
+    target, states = fixture_zoo[name], list(zoo_enumerations[name])
     space = tabulate(target, states)
     stats = unimodality_stats(target, space)
     assert stats == unimodality_stats(target, states)
@@ -101,9 +107,9 @@ SPECS = {**KERNELS, "clipped-lazy": KernelSpec("informed", ell=2.0, big_l=50.0, 
 def test_matrix_from_table_equals_list_form(fixture_zoo, zoo_enumerations, name, kernel):
     target, states, spec = fixture_zoo[name], zoo_enumerations[name], SPECS[kernel]
     from_table = build_transition_matrix(target, spec, tabulate(target, states))
-    from_list = build_transition_matrix(target, spec, states)
+    from_list = build_transition_matrix(target, spec, list(states))
     assert from_table.states == from_list.states == states
-    assert np.array_equal(from_table.P, from_list.P)
+    assert np.array_equal(from_table.P.toarray(), from_list.P.toarray())
     assert np.array_equal(from_table.log_pis, from_list.log_pis)
     assert from_table.max_degree == from_list.max_degree
 
@@ -116,27 +122,6 @@ def test_detailed_balance_to_rounding(fixture_zoo, zoo_enumerations, name, kerne
     assert chain.detailed_balance_error() <= 5e-14
 
 
-def _tau_by_powers(chain, x, epsilon, t_cap=1_000_000):
-    """Doubling then bisection over dense matrix powers."""
-    i = chain.index[x]
-
-    def tv_at(t):
-        return 0.5 * float(np.abs(np.linalg.matrix_power(chain.P, t)[i] - chain.pi).sum())
-
-    if tv_at(0) <= epsilon:
-        return 0
-    hi = 1
-    while tv_at(hi) > epsilon:
-        hi *= 2
-        if hi > t_cap:
-            return None
-    lo = hi // 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if tv_at(mid) <= epsilon else (mid, hi)
-    return hi
-
-
 @pytest.mark.parametrize("kernel", ["rw", "clipped"])
 @pytest.mark.parametrize("name", ZOO_NAMES)
 def test_tau_walk_equals_matrix_power_search(fixture_zoo, zoo_enumerations, name, kernel):
@@ -146,7 +131,8 @@ def test_tau_walk_equals_matrix_power_search(fixture_zoo, zoo_enumerations, name
     starts = {min(states, key=target.log_pi), max(states, key=target.log_pi), states[0]}
     for x in starts:
         for eps in (0.25, 0.1, 0.01):
-            assert tau_x(chain, x, eps) == _tau_by_powers(chain, x, eps), (x, eps)
+            assert tau_x(chain, x, eps) == dense_oracle.tau(
+                chain.P.toarray(), chain.pi, chain.index[x], eps), (x, eps)
 
 
 def test_tau_cap():
@@ -175,3 +161,24 @@ def test_space_is_the_state_sequence(example3_v_n1):
     assert isinstance(space, Space) and tabulate(example3_v_n1, space) is space
     assert space[3] == states[3] and list(space) == states and (0, 1, 1) in space
     assert list(np.flatnonzero(space.mask([(1, 1, 1), (0, 0, 0)]))) == [0, 7]
+    assert space.index((0, 1, 1)) == 3 and space.pos[(0, 1, 1)] == 3
+
+
+def test_enumeration_evaluates_each_state_once(fixture_zoo):
+    target = fixture_zoo["varsel-p5"]
+    calls = {"log_pi": 0, "neighbors": 0}
+
+    def counted(name, fn):
+        def wrapper(x):
+            calls[name] += 1
+            return fn(x)
+        return wrapper
+
+    counting = dataclasses.replace(
+        target, log_pi=counted("log_pi", target.log_pi),
+        neighbors=counted("neighbors", target.neighbors),
+    )
+    space = enumerate_space(counting, 4096)
+    assert isinstance(space, Space) and tabulate(counting, space) is space
+    build_transition_matrix(counting, KernelSpec("informed", ell=2.0, big_l=50.0), space)
+    assert calls == {"log_pi": len(space), "neighbors": len(space)} and len(space) == 32

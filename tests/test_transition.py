@@ -56,7 +56,7 @@ def _proposal(target, x, spec):
 def test_matrix_entries_are_proposal_times_acceptance(fixture_zoo, zoo_enumerations, name, kernel):
     target, states, spec = fixture_zoo[name], zoo_enumerations[name], KERNELS[kernel]
     chain = build_transition_matrix(target, spec, states)
-    expected = np.zeros_like(chain.P)
+    expected = np.zeros((chain.n, chain.n))
     for i, x in enumerate(states):
         for y, k_xy in _proposal(target, x, spec).items():
             j = chain.index.get(y)
@@ -65,7 +65,7 @@ def test_matrix_entries_are_proposal_times_acceptance(fixture_zoo, zoo_enumerati
             log_alpha = acceptance_log_ratio(target, x, y, spec)
             expected[i, j] = k_xy * min(1.0, math.exp(log_alpha))
     off = ~np.eye(chain.n, dtype=bool)
-    err = np.abs(chain.P[off] - expected[off])
+    err = np.abs(chain.P.toarray()[off] - expected[off])
     assert np.all(err <= 1e-12 * np.abs(expected[off])), float(err.max())
 
 
