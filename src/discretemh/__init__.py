@@ -38,7 +38,6 @@ from .flowbound import (
     build_flow_graph,
     congestion,
     drift_certificate,
-    enumerate_flow,
 )
 
 __all__ = [
@@ -68,7 +67,6 @@ __all__ = [
     "FlowGraph",
     "CongestionReport",
     "build_flow_graph",
-    "enumerate_flow",
     "congestion",
     "drift_certificate",
     "__version__",

@@ -221,8 +221,29 @@ def resolve_config(raw: dict, seed=None, workers=None, out=None) -> Resolved:
     output = _with_defaults(raw.get("output") or {}, _SCHEMA["output"])
     out_dir = Path(out) if out is not None else Path(output["directory"])
     certify = _with_defaults(raw.get("certify") or {}, _SCHEMA["certify"])
+    _check_certify_numbers(certify)
     return Resolved(raw=raw, model=model, spec=spec, run=run, out_dir=out_dir,
                     formats=list(output["formats"]), certify=certify)
+
+
+# Numeric certify keys: the non-numeric values they also take and the open
+# interval a number must lie in.
+_CERTIFY_RANGES = {"epsilon": ((), 0.0, 1.0), "q": ((None,), 0.0, 1.0),
+                   "s_threshold": (("auto",), 1.0, math.inf)}
+
+
+def _check_certify_numbers(certify: dict) -> None:
+    for key, (words, lo, hi) in _CERTIFY_RANGES.items():
+        value = certify[key]
+        if value in words:
+            continue
+        try:
+            number = float(value)
+        except (TypeError, ValueError):
+            number = math.nan
+        if not lo < number < hi:
+            raise ConfigError(f"certify.{key} must lie in ({lo:g}, {hi:g}), got {value!r}")
+        certify[key] = number
 
 
 # ---------------------------------------------------------------------------
@@ -700,7 +721,7 @@ def cmd_certify(cfg: Resolved, method: str) -> int:
         try:
             fg = timed("flow_graph", build_flow_graph, chain, s_threshold,
                        x0 if restricted else None)
-            rep = timed("congestion", congestion, fg, cert["q"], stats.m)
+            rep = timed("congestion", congestion, fg, cert["q"])
             sizes["dag_edges"] = len(fg.edges)
         except DiscreteMHError as exc:
             check("flow certificate", False, str(exc))

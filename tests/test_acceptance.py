@@ -42,13 +42,7 @@ from discretemh.diagnostics import (
     spectral_gap,
     tau_x,
 )
-from discretemh.flowbound import (
-    build_flow_graph,
-    combined_path_count,
-    congestion,
-    drift_certificate,
-    enumerate_flow,
-)
+from discretemh.flowbound import build_flow_graph, congestion, drift_certificate
 from discretemh.samplers import (
     KernelSpec,
     acceptance_log_ratio,
@@ -57,6 +51,7 @@ from discretemh.samplers import (
 )
 from discretemh.varsel import ModelState, VarSelHyper, log_posterior, update_model
 
+import flow_oracle
 from conftest import N_WORKERS
 
 RW = KernelSpec()
@@ -324,21 +319,21 @@ def test_criterion_5_flow_machinery():
             for y in live_states:
                 if x == y:
                     continue
-                total = sum(phi for _, phi in enumerate_flow(fg, x, y))
+                total = sum(phi for _, phi in flow_oracle.enumerate_flow(fg, x, y))
                 expected = chain.pi[chain.index[x]] * chain.pi[chain.index[y]]
                 if abs(total - expected) > 1e-10 * expected:
                     failures.append(f"{name}: flow sum off for {x}->{y}")
         q = None if s_threshold > stats.m else 0.4
-        rep = congestion(fg, q=q, max_degree=stats.m, method="dp")
+        rep = congestion(fg, q=q)
         gap = restricted_gap(chain, x0) if x0 is not None else spectral_gap(chain).gap
         if gap < rep.gap_lower_bound * (1 - 1e-9):
             failures.append(f"{name}: gap {gap} below flow bound {rep.gap_lower_bound}")
         if rep.a_closed_form is not None and rep.a_exact > rep.a_closed_form * (1 + 1e-9):
             failures.append(f"{name}: exact congestion above the closed form")
-        if combined_path_count(fg) <= 1e4:
-            ref = congestion(fg, q=q, max_degree=stats.m, method="enumerate")
+        if flow_oracle.combined_path_count(fg) <= 1e4:
+            ref = flow_oracle.congestion(fg, rep.q)
             dp_compared += 1
-            if not math.isclose(ref.a_exact, rep.a_exact, rel_tol=1e-12):
+            if not math.isclose(ref, rep.a_exact, rel_tol=1e-12):
                 failures.append(f"{name}: DP vs enumeration mismatch")
     elapsed = time.perf_counter() - t0
     ok = not failures and dp_compared >= 3 and elapsed < 120

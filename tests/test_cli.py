@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -244,6 +247,19 @@ class TestCertify:
         assert payload["checks"][-1]["ok"] is False
         assert "congestion" not in payload
 
+    @pytest.mark.parametrize("key, value", [("q", 2), ("s_threshold", 0.5), ("epsilon", 0)])
+    def test_out_of_range_number_is_a_config_error(self, tmp_path, capsys, key, value):
+        raw = {
+            "model": {"kind": "example3", "space": "v2", "neighborhood": "ads"},
+            "kernel": {"family": "random-walk"},
+            "certify": {key: value},
+        }
+        path = write_cfg(tmp_path, raw)
+        out = tmp_path / "o"
+        assert main(["certify", "--config", str(path), "--method", "flow", "--out", str(out)]) == 2
+        assert f"config error: certify.{key} must lie in" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_informed_drift(self, tmp_path, capsys):
         raw = load_config(TEMPLATES / "certify-varsel-small.yaml")
         cfg = resolve_config(raw, out=str(tmp_path))
@@ -313,3 +329,14 @@ class TestDiagnose:
         cfg = resolve_config(raw, out=str(tmp_path))
         assert cmd_diagnose(cfg) == 2
         capsys.readouterr()
+
+
+def test_cli_import_leaves_scipy_sparse_unloaded():
+    # scipy.sparse is imported inside the functions that use it, which keeps
+    # the start-up of every command flat
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, discretemh.cli; print('scipy.sparse' in sys.modules)"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert done.stdout.strip() == "False"
