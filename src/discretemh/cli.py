@@ -6,7 +6,8 @@ reference quantities and checks them against their published values
 ``experiment`` runs replicated hitting-time studies to CSV; ``certify``
 and ``diagnose`` run the exact spectral/flow/drift machinery on enumerable
 configurations.  Exit codes: 0 on success, 1 when a golden value or
-certificate check fails, 2 on configuration errors.
+certificate check fails, 2 on configuration errors and on library errors
+that the input causes.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from .samplers import (
     RANDOM_WALK,
     KernelSpec,
     hitting_experiment,
-    run_chain,
 )
 from . import sbm as sbm_model
 from . import varsel as varsel_model
@@ -252,6 +252,9 @@ def _check_certify_numbers(certify: dict) -> None:
 
 @dataclass(frozen=True)
 class VarselFactory:
+    """Replicate factory; ``fixed``, a ``(data, truth)`` pair, replaces the
+    fresh dataset each replicate would otherwise draw."""
+
     p: int
     n: int
     covariance: str
@@ -260,18 +263,16 @@ class VarselFactory:
     s_max: int | None
     neighborhood: str
     init: dict
-    fresh_data: bool
-    shared_data: object = None
-    shared_truth: tuple | None = None
+    fixed: tuple | None = None
 
     def __call__(self, index: int, seedseq: np.random.SeedSequence):
         data_seq, init_seq = seedseq.spawn(2)
-        if self.fresh_data or self.shared_data is None:
+        if self.fixed is None:
             data, truth = varsel_model.generate_data(
                 self.p, self.n, self.covariance, seed=data_seq
             )
         else:
-            data, truth = self.shared_data, self.shared_truth
+            data, truth = self.fixed
         hyper = varsel_model.VarSelHyper(g=self.g, kappa=self.kappa, s_max=self.s_max)
         target = varsel_model.varsel_target(data, hyper, neighborhood=self.neighborhood)
         rng = philox_rng(init_seq)
@@ -302,25 +303,25 @@ class SbmFactory:
         return target, init, truth
 
 
+def _fixed_data_seed(cfg: Resolved) -> np.random.SeedSequence:
+    """Seed of the one dataset behind ``run.fresh_data: false`` and behind
+    certify and diagnose."""
+    return np.random.SeedSequence([int(cfg.run["seed"]), 0xDA7A])
+
+
 def make_factory(cfg: Resolved):
     model = cfg.model
     kind = model["kind"]
     if kind == "varsel":
-        factory = VarselFactory(
-            p=int(model["p"]), n=int(model["n"]), covariance=model["covariance"],
-            g=float(model["g"]), kappa=float(model["kappa"]),
-            s_max=model["s_max"], neighborhood=model["neighborhood"],
-            init=dict(cfg.run["init"]), fresh_data=bool(cfg.run["fresh_data"]),
-        )
+        p, n, covariance = int(model["p"]), int(model["n"]), model["covariance"]
+        fixed = None
         if not cfg.run["fresh_data"]:
-            data, truth = varsel_model.generate_data(
-                factory.p, factory.n, factory.covariance,
-                seed=np.random.SeedSequence([int(cfg.run["seed"]), 0xDA7A]),
-            )
-            factory = VarselFactory(
-                **{**factory.__dict__, "shared_data": data, "shared_truth": truth}
-            )
-        return factory
+            fixed = varsel_model.generate_data(p, n, covariance, seed=_fixed_data_seed(cfg))
+        return VarselFactory(
+            p=p, n=n, covariance=covariance, g=float(model["g"]), kappa=float(model["kappa"]),
+            s_max=model["s_max"], neighborhood=model["neighborhood"],
+            init=dict(cfg.run["init"]), fixed=fixed,
+        )
     if kind == "sbm":
         return SbmFactory(
             p=int(model["p"]), p_within=float(model["p_within"]),
@@ -338,8 +339,7 @@ def build_static_target(cfg: Resolved) -> tuple[DiscreteTarget, dict]:
         return target, {"kind": "example3", **model}
     if kind == "varsel":
         data, truth = varsel_model.generate_data(
-            int(model["p"]), int(model["n"]), model["covariance"],
-            seed=np.random.SeedSequence([int(cfg.run["seed"]), 0xDA7A]),
+            int(model["p"]), int(model["n"]), model["covariance"], seed=_fixed_data_seed(cfg)
         )
         hyper = varsel_model.VarSelHyper(
             g=float(model["g"]), kappa=float(model["kappa"]), s_max=model["s_max"]
@@ -348,7 +348,7 @@ def build_static_target(cfg: Resolved) -> tuple[DiscreteTarget, dict]:
     if kind == "sbm":
         data, _ = sbm_model.generate_sbm(
             int(model["p"]), float(model["p_within"]), float(model["p_between"]),
-            seed=np.random.SeedSequence([int(cfg.run["seed"]), 0xDA7A]),
+            seed=_fixed_data_seed(cfg),
         )
         return sbm_model.sbm_target(data), model
     raise ConfigError(f"unknown model kind {kind!r}")
@@ -499,16 +499,16 @@ def _meta_line(cfg: Resolved) -> str:
 
 
 def cmd_experiment(cfg: Resolved) -> int:
-    factory = make_factory(cfg)
     run = cfg.run
+    # a trajectory is the whole budget, so saving them turns early stopping off
     summary = hitting_experiment(
-        factory,
+        make_factory(cfg),
         cfg.spec,
         n_runs=int(run["n_runs"]),
         budget=int(run["budget"]),
         master_seed=int(run["seed"]),
         workers=int(run["workers"]),
-        stop_early=bool(run["stop_early"]),
+        stop_early=bool(run["stop_early"]) and not run["save_trajectories"],
     )
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -543,13 +543,13 @@ def cmd_experiment(cfg: Resolved) -> int:
                 "index,hit,hit_iteration,steps,elapsed_s,elapsed_to_hit_s,"
                 "evals,scans,scans_reused,neg_inf_rejects\n"
             )
-            for r in summary.runs:
+            for i, t in enumerate(summary.runs):
                 fh.write(
-                    f"{r.index},{int(r.hit)},"
-                    f"{'' if r.hit_iteration is None else r.hit_iteration},"
-                    f"{r.n_steps_run},{r.elapsed:.6f},"
-                    f"{'' if r.elapsed_to_hit is None else f'{r.elapsed_to_hit:.6f}'},"
-                    f"{r.evals},{r.scans},{r.scans_reused},{r.neg_inf_rejects}\n"
+                    f"{i},{int(t.hit_iteration is not None)},"
+                    f"{'' if t.hit_iteration is None else t.hit_iteration},"
+                    f"{len(t.accepted)},{t.elapsed:.6f},"
+                    f"{'' if t.elapsed_to_hit is None else f'{t.elapsed_to_hit:.6f}'},"
+                    f"{t.evals},{t.scans},{t.scans_reused},{t.neg_inf_rejects}\n"
                 )
     if "json" in cfg.formats:
         (out / "summary.json").write_text(json.dumps({
@@ -563,7 +563,12 @@ def cmd_experiment(cfg: Resolved) -> int:
             "t_true_s": summary.median_elapsed_to_hit if majority else None,
         }, indent=2))
     if run["save_trajectories"]:
-        _write_trajectories(cfg, factory)
+        with open(out / "trajectories.csv", "w") as fh:
+            fh.write(_meta_line(cfg))
+            fh.write("run,step,log_pi\n")
+            for i, t in enumerate(summary.runs):
+                for step, lp in enumerate(t.log_pis):
+                    fh.write(f"{i},{step},{lp:.6f}\n")
     print(f"{'metric':12} value")
     print(f"{'Success':12} {summary.success}/{summary.n_runs}")
     print(f"{'H_true':12} {h_true}")
@@ -571,22 +576,6 @@ def cmd_experiment(cfg: Resolved) -> int:
     print(f"{'T_true':12} {t_true}s")
     print(f"outputs in {out}")
     return 0
-
-
-def _write_trajectories(cfg: Resolved, factory) -> None:
-    """Full-length log-probability traces for distribution-style plots."""
-    run = cfg.run
-    children = np.random.SeedSequence(int(run["seed"])).spawn(int(run["n_runs"]))
-    path = cfg.out_dir / "trajectories.csv"
-    with open(path, "w") as fh:
-        fh.write(_meta_line(cfg))
-        fh.write("run,step,log_pi\n")
-        for i, child in enumerate(children):
-            data_seq, chain_seq = child.spawn(2)
-            target, init, _ = factory(i, data_seq)
-            trace = run_chain(target, init, cfg.spec, int(run["budget"]), chain_seq)
-            for t, lp in enumerate(trace.log_pis):
-                fh.write(f"{i},{t},{lp:.6f}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -857,6 +846,9 @@ def main(argv=None) -> int:
             return cmd_diagnose(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except DiscreteMHError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     return 0
 

@@ -20,8 +20,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .core import (
-    DEFAULT_ENUM_CAP,
-    CapExceeded,
+    DegenerateSpace,
     DiscreteMHError,
     DiscreteTarget,
     IsolatedState,
@@ -130,7 +129,6 @@ def build_transition_matrix(
     target: DiscreteTarget,
     spec: KernelSpec,
     states: Sequence[State] | None = None,
-    cap: int = DEFAULT_ENUM_CAP,
 ) -> DenseChain:
     """Exact transition matrix of the kernel on an enumerated space, as CSR.
 
@@ -138,17 +136,17 @@ def build_transition_matrix(
     domain from the space's table (``states`` may be a :class:`Space`); the
     diagonal absorbs rejections (including proposals onto zero-probability
     states outside the enumeration).  Lazy kernels halve every off-diagonal
-    entry.  Entries that underflow to zero are not stored.
+    entry.  Entries that underflow to zero are not stored.  Without
+    ``states`` the space is enumerated under ``enumerate_space``'s default
+    cap; the enumeration owns the cap, so given states are not capped again.
     """
     from scipy import sparse
 
     if states is None:
-        states = enumerate_space(target, cap)
+        states = enumerate_space(target)
     n = len(states)
-    if n > cap:
-        raise CapExceeded(f"{n} states exceeds cap {cap}")
     if n < 2:
-        raise ValueError("need at least two states")
+        raise DegenerateSpace("need at least two states")
     space = tabulate(target, states)
     if not space.deg.all():
         raise IsolatedState(f"state {space[int(np.argmin(space.deg))]!r} has no neighbors")

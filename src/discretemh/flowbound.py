@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BoundInapplicable, DiscreteMHError, State
+from .core import BoundInapplicable, DegenerateSpace, DiscreteMHError, State
 from .diagnostics import DenseChain, c_of_rho
 
 
@@ -72,6 +72,8 @@ def build_flow_graph(chain: DenseChain, s_threshold: float, x0=None) -> FlowGrap
     log_s = math.log(s_threshold)
     restricted = x0 is not None
     live = [chain.index[s] for s in x0] if restricted else range(chain.n)
+    if len(live) < 2:
+        raise DegenerateSpace("a flow needs at least two live states")
     lp = chain.log_pis
     live = sorted(live, key=lambda i: (lp[i], _sort_key(chain.states[i])))
     pos = np.full(chain.n, -1)

@@ -293,7 +293,7 @@ class ChainTrace:
 
     seed: object
     spec: KernelSpec
-    states: list
+    states: list | None
     log_pis: np.ndarray
     accepted: np.ndarray
     lazy_stays: np.ndarray
@@ -386,22 +386,9 @@ def run_chain(
 
 
 @dataclass
-class RunRecord:
-    index: int
-    hit: bool
-    hit_iteration: int | None
-    n_steps_run: int
-    elapsed: float
-    elapsed_to_hit: float | None
-    evals: int
-    scans: int
-    scans_reused: int
-    neg_inf_rejects: int
-
-
-@dataclass
 class ExperimentSummary:
-    """Aggregate of replicated hitting runs: success count plus medians."""
+    """Aggregate of replicated hitting runs: success count plus medians, and
+    each replicate's trace in replicate order."""
 
     n_runs: int
     budget: int
@@ -409,7 +396,7 @@ class ExperimentSummary:
     median_hit_iteration: float | None
     median_elapsed: float
     median_elapsed_to_hit: float | None
-    runs: list[RunRecord] = field(repr=False, default_factory=list)
+    runs: list[ChainTrace] = field(repr=False, default_factory=list)
 
     @property
     def majority_success(self) -> bool:
@@ -417,24 +404,15 @@ class ExperimentSummary:
 
 
 def _run_replicate(args):
+    """The replicate's trace, without its state list."""
     factory, index, seedseq, spec, budget, stop_early = args
     data_seq, chain_seq = seedseq.spawn(2)
     target, init, truth = factory(index, data_seq)
     trace = run_chain(
         target, init, spec, budget, chain_seq, stop_at=truth, stop_early=stop_early
     )
-    return RunRecord(
-        index=index,
-        hit=trace.hit_iteration is not None,
-        hit_iteration=trace.hit_iteration,
-        n_steps_run=len(trace.states) - 1,
-        elapsed=trace.elapsed,
-        elapsed_to_hit=trace.elapsed_to_hit,
-        evals=trace.evals,
-        scans=trace.scans,
-        scans_reused=trace.scans_reused,
-        neg_inf_rejects=trace.neg_inf_rejects,
-    )
+    trace.states = None
+    return trace
 
 
 def hitting_experiment(
@@ -451,7 +429,8 @@ def hitting_experiment(
     Each replicate gets an independent substream of the master seed, so the
     summary is identical for any worker count.  Success counts runs whose
     chain reaches a truth state within the budget; iteration and wall-time
-    medians are taken over successful runs.
+    medians are taken over successful runs.  Each replicate's trace keeps
+    everything but its state list, which stays with the worker.
     """
     children = np.random.SeedSequence(master_seed).spawn(n_runs)
     jobs = [
@@ -460,18 +439,17 @@ def hitting_experiment(
     ]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run_replicate, jobs))
+            traces = list(pool.map(_run_replicate, jobs))
     else:
-        records = [_run_replicate(j) for j in jobs]
-    records.sort(key=lambda r: r.index)
-    hits = [r.hit_iteration for r in records if r.hit]
-    t_hits = [r.elapsed_to_hit for r in records if r.hit]
+        traces = [_run_replicate(j) for j in jobs]
+    hits = [t.hit_iteration for t in traces if t.hit_iteration is not None]
+    t_hits = [t.elapsed_to_hit for t in traces if t.elapsed_to_hit is not None]
     return ExperimentSummary(
         n_runs=n_runs,
         budget=budget,
         success=len(hits),
         median_hit_iteration=float(np.median(hits)) if hits else None,
-        median_elapsed=float(np.median([r.elapsed for r in records])),
+        median_elapsed=float(np.median([t.elapsed for t in traces])),
         median_elapsed_to_hit=float(np.median(t_hits)) if t_hits else None,
-        runs=records,
+        runs=traces,
     )

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import gammaln
@@ -24,14 +24,17 @@ BLOCKS = (1, 2)  # two communities; counts are stored per unordered block pair
 
 @dataclass(frozen=True)
 class SbmData:
-    """Symmetric 0/1 adjacency with a zero diagonal."""
+    """Symmetric 0/1 adjacency with a zero diagonal, plus a float32 copy for
+    the mat-vecs that count edges (sums of 0/1 below 2^24 are exact)."""
 
     adjacency: np.ndarray
     p: int
+    adjacency_f32: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         adj = np.asarray(self.adjacency)
         object.__setattr__(self, "adjacency", adj.astype(np.uint8))
+        object.__setattr__(self, "adjacency_f32", adj.astype(np.float32))
         if adj.shape != (self.p, self.p):
             raise ValueError("adjacency must be p x p")
         if (adj != adj.T).any():
@@ -70,19 +73,18 @@ class BlockCounts:
 
     @staticmethod
     def from_labels(data: SbmData, z) -> "BlockCounts":
-        ind1 = np.array([lab == 1 for lab in z], dtype=float)
-        ind2 = 1.0 - ind1
-        d1 = data.adjacency @ ind1
-        d2 = data.adjacency @ ind2
-        c1 = int(ind1.sum())
-        m11 = int(round(ind1 @ d1 / 2))
-        m22 = int(round(ind2 @ d2 / 2))
-        m12 = int(round(ind1 @ d2))
+        in1 = np.asarray(z) == 1
+        d1 = (data.adjacency_f32 @ in1.astype(np.float32)).astype(np.int64)
+        d2 = (data.adjacency_f32 @ (~in1).astype(np.float32)).astype(np.int64)
+        c1 = int(in1.sum())
+        m11 = int(d1[in1].sum()) // 2
+        m22 = int(d2[~in1].sum()) // 2
+        m12 = int(d2[in1].sum())
         return BlockCounts(
             data=data,
             sizes=(c1, data.p - c1),
             m_edges=(m11, m12, m22),
-            tallies=np.stack([d1, d2], axis=1).astype(np.int64),
+            tallies=np.stack([d1, d2], axis=1),
         )
 
     def log_posterior(self) -> float:
@@ -169,7 +171,6 @@ def sbm_target(data: SbmData, name: str = "") -> DiscreteTarget:
         neighbors=flip_neighbors,
         seed_state=tuple([1] * data.p),
         name=name or f"sbm(p={data.p})",
-        neighbor_log_pis=lambda z: (flip_neighbors(z), stats_at(z).flip_log_pis(z)),
         stats_at=stats_at,
     )
 

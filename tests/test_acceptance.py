@@ -415,7 +415,7 @@ def test_criterion_6_oracles():
 def _varsel_summary(spec, budget, seed):
     factory = VarselFactory(
         p=30, n=100, covariance="moderate", g=30.0**3, kappa=1.0, s_max=None,
-        neighborhood="n1", init={"scheme": "uniform-m", "m": 2}, fresh_data=True,
+        neighborhood="n1", init={"scheme": "uniform-m", "m": 2},
     )
     return hitting_experiment(
         factory, spec, n_runs=100, budget=budget, master_seed=seed, workers=N_WORKERS

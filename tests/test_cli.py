@@ -6,6 +6,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -13,6 +14,7 @@ from discretemh.cli import (
     TABLE1,
     TABLE1_ERRATA,
     ConfigError,
+    VarselFactory,
     cmd_certify,
     cmd_diagnose,
     cmd_experiment,
@@ -21,9 +23,11 @@ from discretemh.cli import (
     golden_example5,
     load_config,
     main,
+    make_factory,
     resolve_config,
     resolve_scale,
 )
+from discretemh.samplers import run_chain
 from discretemh.varsel import EXAMPLE3_G, EXAMPLE3_KAPPA, example3_fixture_path
 from conftest import N_WORKERS
 
@@ -204,21 +208,41 @@ class TestExperiment:
         success = int(body.split(",")[4])
         assert success in (0, 1)
 
-    def test_trajectories_written(self, tmp_path):
+    def test_trajectories_written(self, tmp_path, monkeypatch):
         cfg = {
             "model": SMALL_VARSEL["model"],
             "kernel": SMALL_VARSEL["kernel"],
             "run": {
-                "n_runs": 2, "budget": 50, "seed": 5,
+                "n_runs": 2, "budget": 50, "seed": 5, "workers": 1,
                 "init": {"scheme": "uniform-m", "m": 1},
                 "save_trajectories": True,
             },
         }
         out = tmp_path / "o"
-        assert cmd_experiment(resolve_config(load_config(write_cfg(tmp_path, cfg)), out=str(out))) == 0
+        resolved = resolve_config(load_config(write_cfg(tmp_path, cfg)), out=str(out))
+        build, calls = VarselFactory.__call__, []
+
+        def counted(factory, index, seedseq):
+            calls.append(index)
+            return build(factory, index, seedseq)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(VarselFactory, "__call__", counted)
+            assert cmd_experiment(resolved) == 0
+        assert calls == [0, 1]  # one run per replicate
         lines = (out / "trajectories.csv").read_text().splitlines()
         assert lines[1] == "run,step,log_pi"
         assert len(lines) == 2 + 2 * 51  # two runs, budget + 1 rows each
+        rows = [ln.split(",") for ln in lines[2:]]
+        factory = make_factory(resolved)
+        for i, child in enumerate(np.random.SeedSequence(5).spawn(2)):
+            data_seq, chain_seq = child.spawn(2)
+            target, init, _ = factory(i, data_seq)
+            trace = run_chain(target, init, resolved.spec, 50, chain_seq)
+            assert [r[2] for r in rows if r[0] == str(i)] == [f"{lp:.6f}" for lp in trace.log_pis]
+        runs = (out / "runs.csv").read_text().splitlines()
+        steps = [dict(zip(runs[1].split(","), ln.split(",")))["steps"] for ln in runs[2:]]
+        assert steps == ["50", "50"]  # saved trajectories run the whole budget
 
 
 class TestCertify:
@@ -329,6 +353,23 @@ class TestDiagnose:
         cfg = resolve_config(raw, out=str(tmp_path))
         assert cmd_diagnose(cfg) == 2
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["certify", "--method", "restricted-flow"], "DegenerateSpace"),
+    (["diagnose"], "DegenerateRestriction"),
+])
+def test_library_error_exits_two(tmp_path, capsys, argv, error):
+    # a one-state restriction: the input, not a failed check
+    raw = {
+        "model": {"kind": "example3", "space": "v", "neighborhood": "ads"},
+        "kernel": {"family": "random-walk"},
+        "run": {"seed": 1},
+        "certify": {"x0": "smax:0"},
+    }
+    path = write_cfg(tmp_path, raw)
+    assert main([argv[0], "--config", str(path), "--out", str(tmp_path / "o"), *argv[1:]]) == 2
+    assert f"error: {error}: " in capsys.readouterr().err
 
 
 def test_cli_import_leaves_scipy_sparse_unloaded():

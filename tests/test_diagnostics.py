@@ -6,7 +6,13 @@ from scipy import sparse
 
 import dense_oracle
 from discretemh import toy, varsel
-from discretemh.core import DiscreteTarget, enumerate_space, tabulate, unimodality_stats
+from discretemh.core import (
+    DegenerateSpace,
+    DiscreteTarget,
+    enumerate_space,
+    tabulate,
+    unimodality_stats,
+)
 from discretemh.diagnostics import (
     DegenerateRestriction,
     DenseChain,
@@ -64,6 +70,17 @@ class TestBuildMatrix:
                 chain = build_transition_matrix(target, spec, states)
                 assert np.abs(chain.P.sum(axis=1) - 1).max() < 1e-12
                 assert chain.detailed_balance_error() < 1e-12, (name, spec.family)
+
+    def test_space_past_the_default_cap(self):
+        # the enumeration owns the state cap; the builder takes the space it is given
+        target = toy.path_target([0.01] * 4999)
+        chain = build_transition_matrix(target, RW, enumerate_space(target, cap=6000))
+        assert chain.n == 5000
+        assert np.abs(chain.P.sum(axis=1) - 1).max() < 1e-12
+
+    def test_one_state_is_degenerate(self):
+        with pytest.raises(DegenerateSpace):
+            build_transition_matrix(toy.table_target({0: 0.0}, []), RW, [0])
 
     def test_lazy_is_half_plus_identity(self, example3_v2_ads):
         states = enumerate_space(example3_v2_ads, 100)

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from discretemh import toy
-from discretemh.core import BoundInapplicable, enumerate_space, philox_rng, unimodality_stats
+from discretemh.core import (
+    BoundInapplicable,
+    DegenerateSpace,
+    enumerate_space,
+    philox_rng,
+    unimodality_stats,
+)
 from discretemh.diagnostics import build_transition_matrix, restricted_gap, spectral_gap
 from discretemh.flowbound import (
     HypothesisViolated,
@@ -48,6 +54,11 @@ class TestFlowGraph:
         chain = lazy_chain(target)
         with pytest.raises(HypothesisViolated):
             build_flow_graph(chain, math.exp(2.0))
+
+    def test_one_live_state_is_degenerate(self, example3_v2_ads):
+        chain = lazy_chain(example3_v2_ads)
+        with pytest.raises(DegenerateSpace):
+            build_flow_graph(chain, 2.0, x0=[(0, 0, 0)])
 
     def test_multimodal_full_space_violates(self):
         target, _ = toy.bimodal_target([2.0] * 3, 8.0, [1.0] * 2)

@@ -76,6 +76,23 @@ class TestCollapsedPosterior:
         pis = np.exp(np.array(lps) - logsumexp(lps))
         assert pis.sum() == pytest.approx(1.0, abs=1e-12)
 
+    def test_counts_match_literal_pair_count(self):
+        data, _ = generate_sbm(61, 0.3, 0.1, seed=9)
+        z = tuple(int(v) for v in philox_rng(3).integers(1, 3, size=61))
+        counts = BlockCounts.from_labels(data, z)
+        edges = {(1, 1): 0, (1, 2): 0, (2, 2): 0}
+        tallies = np.zeros((61, 2), dtype=np.int64)
+        for i in range(61):
+            for j in range(61):
+                if data.adjacency[i, j]:
+                    tallies[i, z[j] - 1] += 1
+                    if i < j:
+                        edges[tuple(sorted((z[i], z[j])))] += 1
+        assert counts.m_edges == (edges[1, 1], edges[1, 2], edges[2, 2])
+        assert counts.tallies.dtype == np.int64
+        assert np.array_equal(counts.tallies, tallies)
+        assert counts.sizes == (z.count(1), z.count(2))
+
     def test_empty_blocks_are_legal(self):
         data, _ = generate_sbm(5, 0.5, 0.1, seed=1)
         val = log_posterior_sbm(data, (1, 1, 1, 1, 1))
@@ -207,6 +224,6 @@ class TestTargetStructure:
         rng = philox_rng(4)
         for _ in range(10):
             z = tuple(int(v) for v in rng.integers(1, 3, size=9))
-            ns, lps = target.neighbors_with_log_pi(z)
+            ns, lps = target.neighbors(z), target.stats_at(z).flip_log_pis(z)
             for nb, lp in zip(ns, lps):
                 assert lp == pytest.approx(log_posterior_sbm(data, nb), abs=1e-10)
