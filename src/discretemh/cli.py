@@ -65,10 +65,10 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------------
 # configuration
 
-# Every config key with its default, per section and, for the model, per
-# kind; _REQUIRED marks keys without one.  A missing run.init takes the
-# whole default mapping; a partial one is passed on as written and the
-# replicate factories fill in the scheme for their model.
+# Every config key with its default, per section and, for the model and
+# run.init, per model kind; _REQUIRED marks keys without one.  A missing
+# run.init takes its model kind's whole default mapping; a partial one is
+# passed on as written and the replicate factories fill in the scheme.
 _REQUIRED = object()
 _SCHEMA = {
     "model": {
@@ -81,7 +81,11 @@ _SCHEMA = {
     },
     "kernel": {"family": RANDOM_WALK, "ell": 0, "big_l": "inf", "lazy": False},
     "run": {
-        "n_runs": 1, "budget": 1000, "init": {"scheme": "uniform-m", "m": 0, "n_false": 50},
+        "n_runs": 1, "budget": 1000,
+        "init": {
+            "varsel": {"scheme": "uniform-m", "m": 0, "n_false": 50},
+            "sbm": {"scheme": "third-wrong"},
+        },
         "seed": 0, "workers": 1, "stop_early": True, "fresh_data": True,
         "save_trajectories": False,
     },
@@ -143,7 +147,7 @@ def load_config(path) -> dict:
     init = (raw.get("run") or {}).get("init")
     if isinstance(init, dict):
         for key in init:
-            if key not in _SCHEMA["run"]["init"]:
+            if key not in set().union(*_SCHEMA["run"]["init"].values()):
                 complain(key, "run.init")
     model = raw.get("model") or {}
     kind = model.get("kind")
@@ -212,7 +216,8 @@ def resolve_config(raw: dict, seed=None, workers=None, out=None) -> Resolved:
     except Exception as exc:
         raise ConfigError(f"kernel: {exc}") from exc
 
-    run = _with_defaults(raw.get("run") or {}, _SCHEMA["run"])
+    run = _with_defaults(raw.get("run") or {},
+                         {**_SCHEMA["run"], "init": _SCHEMA["run"]["init"].get(kind, {})})
     if seed is not None:
         run["seed"] = seed
     if workers is not None:
@@ -286,16 +291,23 @@ class VarselFactory:
 
 @dataclass(frozen=True)
 class SbmFactory:
+    """Replicate factory; ``fixed``, a ``(data, z_star)`` pair, replaces the
+    fresh graph each replicate would otherwise draw."""
+
     p: int
     p_within: float
     p_between: float
     init: dict
+    fixed: tuple | None = None
 
     def __call__(self, index: int, seedseq: np.random.SeedSequence):
         data_seq, init_seq = seedseq.spawn(2)
-        data, z_star = sbm_model.generate_sbm(
-            self.p, self.p_within, self.p_between, seed=data_seq
-        )
+        if self.fixed is None:
+            data, z_star = sbm_model.generate_sbm(
+                self.p, self.p_within, self.p_between, seed=data_seq
+            )
+        else:
+            data, z_star = self.fixed
         target = sbm_model.sbm_target(data)
         scheme = self.init.get("scheme", "third-wrong")
         init = sbm_model.sbm_init(scheme, z_star, philox_rng(init_seq))
@@ -323,10 +335,13 @@ def make_factory(cfg: Resolved):
             init=dict(cfg.run["init"]), fixed=fixed,
         )
     if kind == "sbm":
-        return SbmFactory(
-            p=int(model["p"]), p_within=float(model["p_within"]),
-            p_between=float(model["p_between"]), init=dict(cfg.run["init"]),
-        )
+        p = int(model["p"])
+        p_within, p_between = float(model["p_within"]), float(model["p_between"])
+        fixed = None
+        if not cfg.run["fresh_data"]:
+            fixed = sbm_model.generate_sbm(p, p_within, p_between, seed=_fixed_data_seed(cfg))
+        return SbmFactory(p=p, p_within=p_within, p_between=p_between,
+                          init=dict(cfg.run["init"]), fixed=fixed)
     raise ConfigError(f"model kind {kind!r} does not support experiments")
 
 

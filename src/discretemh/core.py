@@ -51,6 +51,10 @@ class AsymmetricNeighborhood(DiscreteMHError):
     """A state is a neighbor of x, but x is not a neighbor of that state."""
 
 
+class InvalidInit(DiscreteMHError):
+    """An initialization scheme that is unknown or has out-of-range parameters."""
+
+
 class Flips(Sequence):
     """The single-coordinate flips of a tuple state, addressed by coordinate.
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln
 
-from .core import DiscreteTarget, Flips, philox_rng
+from .core import DiscreteTarget, Flips, InvalidInit, philox_rng
 
 BLOCKS = (1, 2)  # two communities; counts are stored per unordered block pair
 
@@ -216,13 +216,13 @@ def sbm_init(kind: str, z_star, rng: np.random.Generator) -> tuple:
     """Corrupt the planted labels: flip a random half or third of the nodes."""
     p = len(z_star)
     if p < 3:
-        raise ValueError("need p >= 3")
+        raise InvalidInit("need p >= 3")
     if kind == "half-wrong":
         k = p // 2
     elif kind == "third-wrong":
         k = p // 3
     else:
-        raise ValueError(f"unknown init kind {kind!r}")
+        raise InvalidInit(f"unknown init scheme {kind!r}")
     return corrupt_labels(z_star, k, rng)
 
 

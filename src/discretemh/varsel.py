@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
-from .core import DiscreteMHError, DiscreteTarget, Flips, philox_rng
+from .core import DiscreteMHError, DiscreteTarget, Flips, InvalidInit, philox_rng
 
 # Pivot smaller than this times the largest Gram diagonal counts as singular.
 PIVOT_RTOL = 1e-10
@@ -35,8 +35,8 @@ class InvalidGram(DiscreteMHError):
     """A Gram specification that is not positive semidefinite."""
 
 
-class InvalidInit(DiscreteMHError):
-    """An initialization scheme with out-of-range parameters."""
+class NonFiniteData(DiscreteMHError):
+    """Sufficient statistics with a NaN or infinite entry."""
 
 
 @dataclass(frozen=True)
@@ -51,8 +51,12 @@ class VarSelData:
 
     def __post_init__(self):
         gram = np.asarray(self.gram, dtype=float)
+        xty = np.asarray(self.xty, dtype=float)
         object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "xty", np.asarray(self.xty, dtype=float))
+        object.__setattr__(self, "xty", xty)
+        for name, value in (("gram", gram), ("xty", xty), ("yty", self.yty)):
+            if not np.isfinite(value).all():
+                raise NonFiniteData(f"{name} must be finite")
         if gram.shape != (self.p, self.p):
             raise ValueError("gram must be p x p")
         if not np.allclose(gram, gram.T, atol=1e-8 * max(1.0, float(np.abs(gram).max()))):

@@ -15,6 +15,7 @@ from discretemh.cli import (
     TABLE1_ERRATA,
     ConfigError,
     VarselFactory,
+    build_static_target,
     cmd_certify,
     cmd_diagnose,
     cmd_experiment,
@@ -50,6 +51,8 @@ SMALL_VARSEL = {
         "seed": 99,
     },
 }
+
+SMALL_SBM = {"kind": "sbm", "p": 20, "p_within": 0.5, "p_between": 0.05}
 
 
 class TestConfig:
@@ -197,6 +200,36 @@ class TestExperiment:
             assert int(row["evals"]) == 40
             assert int(row["scans"]) == 41 and int(row["scans_reused"]) == 39
             assert int(row["neg_inf_rejects"]) == 0
+
+    def test_sbm_without_init_starts_third_wrong(self, tmp_path, capsys):
+        raw = {"model": SMALL_SBM, "run": {"n_runs": 1, "budget": 5}}
+        assert resolve_config(raw).run["init"] == {"scheme": "third-wrong"}
+        path = write_cfg(tmp_path, raw)
+        assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+        capsys.readouterr()
+
+    def test_unknown_sbm_init_exits_two(self, tmp_path, capsys):
+        raw = {"model": SMALL_SBM,
+               "run": {"n_runs": 1, "budget": 5, "init": {"scheme": "uniform-m"}}}
+        path = write_cfg(tmp_path, raw)
+        assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "error: InvalidInit: unknown init scheme 'uniform-m'" in capsys.readouterr().err
+
+    def test_sbm_fresh_data_false_shares_one_graph(self):
+        def graphs(fresh_data):
+            cfg = resolve_config({"model": SMALL_SBM, "run": {"seed": 4, "fresh_data": fresh_data}})
+            factory = make_factory(cfg)
+            out = []
+            for i, child in enumerate(np.random.SeedSequence(4).spawn(2)):
+                target, init, _ = factory(i, child.spawn(2)[0])
+                out.append(target.stats_at(init).data.adjacency)
+            static, _ = build_static_target(cfg)
+            return out, static.stats_at(static.seed_state).data.adjacency
+
+        (first, second), static = graphs(False)
+        assert np.array_equal(first, static) and np.array_equal(second, static)
+        (first, second), _ = graphs(True)
+        assert not np.array_equal(first, second)
 
     def test_zero_budget_success_by_init_only(self, tmp_path):
         cfg = dict(SMALL_VARSEL)

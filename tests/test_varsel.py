@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from discretemh.varsel import (
     InvalidGram,
     InvalidInit,
     ModelState,
+    NonFiniteData,
     SingularModel,
     VarSelData,
     VarSelHyper,
@@ -222,6 +224,19 @@ class TestDataGeneration:
         loaded = varsel.load_data(path)
         assert np.allclose(loaded.gram, e3[0].gram)
         assert loaded.yty == e3[0].yty and loaded.n == e3[0].n
+
+    @pytest.mark.parametrize("field, index", [("gram", 4), ("xty", 1), ("yty", None)])
+    def test_non_finite_data_rejected_by_name(self, tmp_path, e3, field, index):
+        path = tmp_path / "d.json"
+        varsel.save_data(e3[0], path)
+        payload = json.loads(path.read_text())
+        if index is None:
+            payload[field] = math.nan
+        else:
+            payload[field][index] = math.nan
+        path.write_text(json.dumps(payload))
+        with pytest.raises(NonFiniteData, match=f"^{field} must be finite$"):
+            varsel.load_data(path)
 
     def test_checked_in_fixture_matches_analytic(self):
         loaded = varsel.load_data(varsel.example3_fixture_path())
