@@ -6,6 +6,8 @@ __version__ = "0.1.0"
 import ctypes
 import os
 
+import scipy.special  # noqa: F401  (maps scipy's OpenBLAS before the pin below)
+
 from .core import (
     DiscreteTarget,
     NeighborhoodStats,
@@ -114,7 +116,7 @@ def _one_blas_thread() -> None:
                 break
 
 
-# The submodules above have loaded numpy and scipy.special, which map both
-# wheel copies of OpenBLAS; tests/test_blas_threads.py checks that none is
-# mapped later unpinned.
+# numpy and scipy.special, imported above, map both wheel copies of
+# OpenBLAS; tests/test_blas_threads.py checks that none is mapped later
+# unpinned.
 _one_blas_thread()

@@ -144,11 +144,6 @@ def load_config(path) -> dict:
         for key in body:
             if key not in allowed:
                 complain(key, f"section {section!r}")
-    init = (raw.get("run") or {}).get("init")
-    if isinstance(init, dict):
-        for key in init:
-            if key not in set().union(*_SCHEMA["run"]["init"].values()):
-                complain(key, "run.init")
     model = raw.get("model") or {}
     kind = model.get("kind")
     if kind is not None:
@@ -157,6 +152,16 @@ def load_config(path) -> dict:
         for key in model:
             if key not in _SCHEMA["model"][kind]:
                 complain(key, f"model kind {kind!r}")
+    init = (raw.get("run") or {}).get("init")
+    if isinstance(init, dict):
+        tables = _SCHEMA["run"]["init"]
+        if kind is None:
+            allowed, context = set().union(*tables.values()), "run.init"
+        else:
+            allowed, context = tables.get(kind, {}), f"run.init for model kind {kind!r}"
+        for key in init:
+            if key not in allowed:
+                complain(key, context)
     return raw
 
 

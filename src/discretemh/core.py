@@ -15,7 +15,6 @@ from collections.abc import Callable, Hashable, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
 State = Hashable
 
@@ -215,6 +214,31 @@ def enumerate_space(target: DiscreteTarget, cap: int = DEFAULT_ENUM_CAP) -> Spac
     # tabulate from what the search evaluated
     return tabulate(replace(target, log_pi=found.__getitem__, neighbors=rows.__getitem__),
                     sorted(found))
+
+
+def logsumexp(a, axis=None):
+    """``log(sum(exp(a)))`` over ``axis`` (every entry when None) of a real
+    array, bit for bit equal to ``scipy.special.logsumexp``: its steps in
+    its order, without its array-API dispatch.  The entries equal to the
+    maximum are counted and left out of the shifted sum, and a result that
+    is not finite falls back to the direct ``log(sum(exp(a)))``."""
+    a = np.asarray(a, dtype=float)
+    if a.size == 0:
+        return np.full(np.sum(a, axis=axis).shape, -np.inf)[()]
+    # one axis reduces to scalars; more keep the reduced axes to broadcast
+    red = {} if a.ndim <= 1 else {
+        "axis": tuple(range(a.ndim)) if axis is None else axis, "keepdims": True}
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = a.max(**red)
+        top = a == a_max
+        m = np.count_nonzero(top, **red)
+        # a zero sum has m >= 1, so dividing it leaves it zero, as scipy's
+        # where(s == 0, s, s / m) does
+        s = np.exp(np.where(top, -np.inf, a) - a_max).sum(**red) / m
+        out = np.log1p(s) + np.log(m) + a_max
+        if not np.isfinite(out).all():
+            out = np.where(np.isfinite(out), out, np.log(np.exp(a).sum(**red)))
+    return (out if a.ndim <= 1 else np.squeeze(out, axis=red["axis"]))[()]
 
 
 def philox_rng(seed) -> np.random.Generator:

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import (
     DegenerateSpace,
@@ -28,6 +27,7 @@ from .core import (
     Space,
     State,
     enumerate_space,
+    logsumexp,
     philox_rng,
     tabulate,
 )

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BoundInapplicable, DegenerateSpace, DiscreteMHError, State
+from .core import BoundInapplicable, DegenerateSpace, DiscreteMHError, State, logsumexp
 from .diagnostics import DenseChain, c_of_rho
 
 
@@ -190,7 +190,6 @@ def _congestion_dp(fg: FlowGraph, q: float):
     alpha R, beta R and (alpha R)(W o T) R: three triangular solves."""
     from scipy import sparse
     from scipy.sparse.linalg import spsolve_triangular
-    from scipy.special import logsumexp
 
     chain, t = fg.chain, fg.t_mat
     if not len(fg.edges):
@@ -271,8 +270,6 @@ def drift_certificate(chain: DenseChain) -> DriftCertificate:
     nonnegative eigenvalues, so a chain with a negative one is refused (use
     the lazy chain instead).
     """
-    from scipy.special import logsumexp
-
     lp = chain.log_pis - logsumexp(chain.log_pis)
     log_pi_min = float(lp.min())
     v = np.exp(lp / log_pi_min)

@@ -22,10 +22,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import (AsymmetricNeighborhood, DiscreteMHError, DiscreteTarget, Flips,
-                   IsolatedState, State, philox_rng)
+                   IsolatedState, State, logsumexp, philox_rng)
 
 RANDOM_WALK = "random-walk"
 INFORMED = "informed"

@@ -5,9 +5,13 @@ through the Gram matrix, X'y and y'y, so those sufficient statistics are
 the only thing kept after data generation.  Model states are 0/1 tuples.
 Every evaluation takes a fresh Cholesky factor of the active Gram block; a
 vectorized one-shot scan evaluates every single-flip neighbor from one
-factor for informed proposals.  ``ModelState``/``update_model`` carry the
-factor through add/drop/swap moves with rank-one extensions and downdates;
-they are the incremental oracle that fresh evaluation is checked against.
+factor for informed proposals.  The solves call LAPACK's ``trtrs`` and
+``potrs`` directly, with the arguments scipy's ``solve_triangular`` and
+``cho_solve`` pass, so they give the wrappers' bits without their checks:
+``VarSelData`` checks the statistics finite once, and a nonzero ``info``
+raises ``LapackError``.  ``ModelState``/``update_model`` carry the factor
+through add/drop/swap moves with rank-one extensions and downdates; they
+are the incremental oracle that fresh evaluation is checked against.
 """
 
 from __future__ import annotations
@@ -15,9 +19,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import get_lapack_funcs
 
 from .core import DiscreteMHError, DiscreteTarget, Flips, InvalidInit, philox_rng
 
@@ -37,6 +42,31 @@ class InvalidGram(DiscreteMHError):
 
 class NonFiniteData(DiscreteMHError):
     """Sufficient statistics with a NaN or infinite entry."""
+
+
+class LapackError(DiscreteMHError):
+    """A LAPACK routine returned a nonzero ``info``."""
+
+
+_TRTRS, _POTRS = get_lapack_funcs(("trtrs", "potrs"), (np.empty((1, 1)),))
+
+
+def _lapack(name: str, x: np.ndarray, info: int) -> np.ndarray:
+    if info:
+        raise LapackError(f"{name} returned info={info}")
+    return x
+
+
+def _solve_lower(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``chol^-1 b`` for a C-ordered lower factor, as ``solve_triangular(chol,
+    b, lower=True)`` computes it: as the transposed upper system."""
+    return _lapack("trtrs", *_TRTRS(chol.T, b, lower=0, trans=1))
+
+
+def _chol_inverse(chol: np.ndarray) -> np.ndarray:
+    """``(chol chol')^-1`` from a lower factor, as ``cho_solve((chol, True),
+    eye)`` computes it."""
+    return _lapack("potrs", *_POTRS(chol, np.eye(len(chol)), lower=1))
 
 
 @dataclass(frozen=True)
@@ -64,7 +94,7 @@ class VarSelData:
         if self.yty <= 0:
             raise ValueError("yty must be positive")
 
-    @property
+    @cached_property
     def pivot_tol(self) -> float:
         return PIVOT_RTOL * float(np.max(np.diag(self.gram)))
 
@@ -93,7 +123,7 @@ def _chol_append(chol: np.ndarray | None, gram: np.ndarray, active: list[int], j
             raise SingularModel(f"variable {j} has negligible norm")
         return np.array([[math.sqrt(gjj)]]), np.zeros(0)
     u = gram[np.ix_(active, [j])][:, 0]
-    w = solve_triangular(chol, u, lower=True)
+    w = _solve_lower(chol, u)
     d2 = gjj - w @ w
     if d2 <= tol:
         raise SingularModel(f"adding variable {j} makes the model singular")
@@ -138,7 +168,7 @@ def _fresh_chol(data: VarSelData, active: list[int]) -> np.ndarray | None:
         chol = np.linalg.cholesky(sub)
     except np.linalg.LinAlgError as exc:
         raise SingularModel(str(exc)) from exc
-    if float(np.min(np.diag(chol)) ** 2) <= data.pivot_tol:
+    if float(chol.diagonal().min() ** 2) <= data.pivot_tol:
         raise SingularModel("pivot below tolerance")
     return chol
 
@@ -146,7 +176,7 @@ def _fresh_chol(data: VarSelData, active: list[int]) -> np.ndarray | None:
 def _explained(data: VarSelData, chol: np.ndarray | None, active: list[int]) -> float:
     if chol is None:
         return 0.0
-    z = solve_triangular(chol, data.xty[active], lower=True)
+    z = _solve_lower(chol, data.xty[active])
     return float(z @ z)
 
 
@@ -316,6 +346,7 @@ def update_model(state: ModelState, move) -> ModelState:
 def _n1_scan(data: VarSelData, hyper: VarSelHyper, cap: int | None, hard: bool):
     """Vectorized log posteriors of all single-flip neighbors of a model."""
     gram, xty, yty = data.gram, data.xty, data.yty
+    gram_diag = np.diag(gram).copy()
     tol = data.pivot_tol
 
     def scan(delta):
@@ -328,26 +359,28 @@ def _n1_scan(data: VarSelData, hyper: VarSelHyper, cap: int | None, hard: bool):
         except SingularModel:
             # current state carries no mass; fall back to per-model evals
             return ns, np.array([log_posterior(data, hyper, m) for m in ns])
-        explained = _explained(data, chol, active)
+        if size:
+            z = _solve_lower(chol, xty[active])
+            explained = float(z @ z)
+        else:
+            explained = 0.0
         expl = np.full(data.p, -np.inf)
         inactive = np.flatnonzero(~d)
         if len(inactive):
             if size:
-                u = gram[np.ix_(active, inactive)]
-                w = solve_triangular(chol, u, lower=True)
-                z = solve_triangular(chol, xty[active], lower=True)
-                d2 = np.diag(gram)[inactive] - np.einsum("ij,ij->j", w, w)
+                w = _solve_lower(chol, gram[active][:, inactive])
+                d2 = gram_diag[inactive] - np.einsum("ij,ij->j", w, w)
                 num = xty[inactive] - w.T @ z
             else:
-                d2 = np.diag(gram)[inactive].astype(float)
-                num = xty[inactive].astype(float)
+                d2 = gram_diag[inactive]
+                num = xty[inactive]
             ok = d2 > tol
             gain = np.divide(num**2, d2, out=np.zeros_like(d2), where=ok)
             expl[inactive] = np.where(ok, explained + gain, -np.inf)
         if size:
-            inv = cho_solve((chol, True), np.eye(size))
+            inv = _chol_inverse(chol)
             beta = inv @ xty[active]
-            expl[active] = explained - beta**2 / np.diag(inv)
+            expl[active] = explained - beta**2 / inv.diagonal()
 
         s_max = data.p if hyper.s_max is None else hyper.s_max
         expl = expl[ns.coords]
@@ -411,6 +444,15 @@ def covariance_matrix(p: int, kind: str) -> np.ndarray:
     return sigma
 
 
+@lru_cache(maxsize=8)
+def _design_factor(p: int, covariance: str) -> np.ndarray:
+    """Lower Cholesky factor of ``covariance_matrix(p, covariance)``, built
+    once per process for each pair and shared read-only by every dataset."""
+    chol = np.linalg.cholesky(covariance_matrix(p, covariance))
+    chol.flags.writeable = False
+    return chol
+
+
 def default_signal(p: int, n: int) -> np.ndarray:
     """Five-variable signal with scale sqrt(log p / n)."""
     beta = np.zeros(p)
@@ -429,9 +471,7 @@ def generate_data(
     if p < 5 or n < 5:
         raise ValueError("need p >= 5 and n >= 5")
     rng = philox_rng(seed)
-    sigma = covariance_matrix(p, covariance)
-    chol = np.linalg.cholesky(sigma)
-    x = rng.standard_normal((n, p)) @ chol.T
+    x = rng.standard_normal((n, p)) @ _design_factor(p, covariance).T
     if beta is None:
         beta = default_signal(p, n)
     y = x @ beta + rng.standard_normal(n)

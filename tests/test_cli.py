@@ -215,6 +215,16 @@ class TestExperiment:
         assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "error: InvalidInit: unknown init scheme 'uniform-m'" in capsys.readouterr().err
 
+    def test_sbm_rejects_varsel_init_keys(self, tmp_path, capsys):
+        raw = {"model": SMALL_SBM,
+               "run": {"n_runs": 1, "budget": 5, "init": {"scheme": "third-wrong", "m": 7}}}
+        path = write_cfg(tmp_path, raw)
+        with pytest.raises(ConfigError, match="unknown key 'm' in run.init for model kind 'sbm'"):
+            load_config(path)
+        assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "unknown key 'm'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_sbm_fresh_data_false_shares_one_graph(self):
         def graphs(fresh_data):
             cfg = resolve_config({"model": SMALL_SBM, "run": {"seed": 4, "fresh_data": fresh_data}})

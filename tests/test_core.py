@@ -14,6 +14,7 @@ from discretemh.core import (
     distances_to_state,
     enumerate_space,
     exact_tail_mass,
+    logsumexp as core_logsumexp,
     restricted_stats,
     space_summary,
     tail_mass_bound,
@@ -200,3 +201,40 @@ def test_infinite_seed_state_rejected():
     )
     with pytest.raises(DegenerateSpace):
         enumerate_space(bad, 100)
+
+
+def _with_edge_cases(a, rng):
+    """Random draws with -inf entries and ties at the maximum mixed in."""
+    a = a.copy()
+    a[rng.random(a.shape) < 0.2] = -np.inf
+    ties = rng.random(a.shape[:-1]) < 0.5
+    top = np.max(a, axis=-1, keepdims=True)
+    a[..., :2] = np.where(ties[..., None], top, a[..., :2])
+    return a
+
+
+@pytest.mark.parametrize("scale", [1.0, 30.0, 800.0])
+def test_logsumexp_is_scipys_bits_1d(scale):
+    rng = np.random.default_rng(17)
+    for n in range(1, 601):
+        a = rng.standard_normal(n) * scale
+        for x in (a, _with_edge_cases(a, rng)):
+            out = core_logsumexp(x)
+            assert np.array_equal(out, logsumexp(x)), n
+            assert type(out) is type(logsumexp(x))
+
+
+def test_logsumexp_is_scipys_bits_rows():
+    rng = np.random.default_rng(18)
+    for n in (1, 2, 7, 64, 600):
+        a = _with_edge_cases(rng.standard_normal((40, n)) * 50, rng)
+        a[3] = -np.inf  # a row without mass
+        a[5, -1] = np.inf
+        assert np.array_equal(core_logsumexp(a, axis=1), logsumexp(a, axis=1), equal_nan=True)
+        assert np.array_equal(core_logsumexp(a), logsumexp(a))
+
+
+@pytest.mark.parametrize("a", [[-np.inf], [-np.inf, -np.inf], [np.inf, 1.0], [np.inf, np.inf],
+                               [3.0], [-np.inf, 2.0, 2.0], [1e308, 1e308], [0, 1, 2], []])
+def test_logsumexp_edge_cases(a):
+    assert np.array_equal(core_logsumexp(a), logsumexp(a))

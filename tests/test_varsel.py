@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scan_oracle
 from discretemh import varsel
 from discretemh.core import check_neighborhood_axioms, enumerate_space, philox_rng
 from discretemh.varsel import (
@@ -141,6 +142,72 @@ class TestNeighborhoods:
                 assert lp == pytest.approx(log_posterior(data, hyper, nb), abs=1e-9)
 
 
+def _duplicated_column(data, src, dst):
+    """The dataset with column ``dst`` of the design replaced by column ``src``."""
+    gram, xty = data.gram.copy(), data.xty.copy()
+    gram[dst, :] = gram[src, :]
+    gram[:, dst] = gram[:, src]
+    gram[dst, dst] = gram[src, src]
+    xty[dst] = xty[src]
+    return VarSelData(gram=gram, xty=xty, yty=data.yty, n=data.n, p=data.p)
+
+
+class TestScanDifferential:
+    """The LAPACK scan against the scipy-wrapper scan (bit for bit) and
+    against per-model ``log_posterior``."""
+
+    S_MAX = 6
+
+    @pytest.fixture(scope="class", params=[30, 500])
+    def dataset(self, request):
+        p = request.param
+        data, _ = generate_data(p, 200, "moderate", seed=11)
+        return _duplicated_column(data, 3, 7)
+
+    def _states(self, p):
+        rng = philox_rng(5)
+        capped = [0] * p
+        for j in rng.choice(np.arange(8, p), self.S_MAX, replace=False):
+            capped[j] = 1
+        single = [0] * p
+        single[3] = 1
+        singular = list(capped)  # at the cap too
+        for j in np.flatnonzero(capped)[:2]:
+            singular[j] = 0
+        singular[3] = singular[7] = 1
+        return {"empty": (0,) * p, "at cap": tuple(capped), "holds column 3": tuple(single),
+                "singular": tuple(singular)}
+
+    @pytest.mark.parametrize("hard", [True, False])
+    def test_scan_matches_wrappers_and_pointwise(self, dataset, hard):
+        data = dataset
+        hyper = VarSelHyper(g=float(data.p) ** 3, kappa=1.0, s_max=self.S_MAX)
+        target = varsel.varsel_target(data, hyper, hard_space=hard)
+        for name, delta in self._states(data.p).items():
+            ns, lps = target.neighbor_log_pis(delta)
+            ref_ns, ref_lps = scan_oracle.wrapper_scan(data, hyper, delta, self.S_MAX, hard)
+            assert np.array_equal(ns.coords, ref_ns.coords), name
+            assert np.array_equal(lps, ref_lps), name
+            pointwise = np.array([log_posterior(data, hyper, m) for m in ns])
+            assert np.array_equal(np.isneginf(lps), np.isneginf(pointwise)), name
+            if name == "singular":  # no factor: the scan evaluates each neighbor
+                with pytest.raises(SingularModel):
+                    varsel._fresh_chol(data, np.flatnonzero(delta).tolist())
+                assert len(ns) and np.array_equal(lps, pointwise)
+            np.testing.assert_allclose(lps, pointwise, rtol=1e-12, atol=0, err_msg=name)
+        at_cap = self._states(data.p)["at cap"]
+        ns, lps = target.neighbor_log_pis(at_cap)
+        adds = np.array([at_cap[c] == 0 for c in ns.coords])
+        assert adds.any() != hard and np.isneginf(lps[adds]).all()
+        # column 7 duplicates column 3, so adding it to a model that holds 3 has no mass
+        ns, lps = target.neighbor_log_pis(self._states(data.p)["holds column 3"])
+        assert lps[ns.position(7)] == -math.inf
+
+    def test_lapack_info_is_a_library_error(self):
+        with pytest.raises(varsel.LapackError, match="trtrs returned info=2"):
+            varsel._solve_lower(np.array([[1.0, 0.0], [1.0, 0.0]]), np.ones(2))
+
+
 class TestIncrementalUpdates:
     def test_add_then_drop_roundtrip(self, e3):
         data, hyper = e3
@@ -217,6 +284,19 @@ class TestDataGeneration:
         data, _ = generate_data(p, n, "moderate", seed=21)
         sigma = varsel.covariance_matrix(p, "moderate")
         assert np.max(np.abs(data.gram / n - sigma)) < 0.05
+
+    def test_design_factor_is_shared_and_read_only(self):
+        varsel._design_factor.cache_clear()
+        first, _ = generate_data(40, 60, "high", seed=1)
+        second, _ = generate_data(40, 60, "high", seed=2)
+        info = varsel._design_factor.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert not varsel._design_factor(40, "high").flags.writeable
+        for seed, data in ((1, first), (2, second)):
+            rng = philox_rng(seed)
+            chol = np.linalg.cholesky(varsel.covariance_matrix(40, "high"))
+            x = rng.standard_normal((60, 40)) @ chol.T
+            assert data.gram.tobytes() == (x.T @ x).tobytes()
 
     def test_json_roundtrip(self, tmp_path, e3):
         path = tmp_path / "d.json"
