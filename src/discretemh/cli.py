@@ -20,7 +20,7 @@ import math
 import re
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -254,6 +254,9 @@ def _check_certify_numbers(certify: dict) -> None:
         if not lo < number < hi:
             raise ConfigError(f"certify.{key} must lie in ({lo:g}, {hi:g}), got {value!r}")
         certify[key] = number
+    cap = certify["enum_cap"]
+    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
+        raise ConfigError(f"certify.enum_cap must be an integer >= 1, got {cap!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -643,22 +646,15 @@ class _Stages(dict):
 
 
 def _tabulated(cfg: Resolved, timed: _Stages):
-    """The static target, its description, its tabulated space and its
-    ``log_pi`` call count (a one-element list); None past the enum cap."""
+    """The static target, its description and its tabulated space; None
+    past the enum cap."""
     target, model_desc = build_static_target(cfg)
-    model_log_pi, calls = target.log_pi, [0]
-
-    def log_pi(x):
-        calls[0] += 1
-        return model_log_pi(x)
-
-    target = replace(target, log_pi=log_pi)
     try:
-        space = timed("enumerate", enumerate_space, target, int(cfg.certify["enum_cap"]))
+        space = timed("enumerate", enumerate_space, target, cfg.certify["enum_cap"])
     except CapExceeded as exc:
         print(f"error: {exc}; shrink model.p or raise certify.enum_cap", file=sys.stderr)
         return None
-    return target, model_desc, space, calls
+    return target, model_desc, space
 
 
 def cmd_certify(cfg: Resolved, method: str) -> int:
@@ -666,7 +662,7 @@ def cmd_certify(cfg: Resolved, method: str) -> int:
     tabulated = _tabulated(cfg, timed)
     if tabulated is None:
         return 2
-    target, model_desc, states, log_pi_calls = tabulated
+    target, model_desc, states = tabulated
     cert = cfg.certify
     stats = timed("stats", unimodality_stats, target, states)
     epsilon = float(cert["epsilon"])
@@ -770,7 +766,7 @@ def cmd_certify(cfg: Resolved, method: str) -> int:
         print(f"error: unknown certify method {method!r}", file=sys.stderr)
         return 2
 
-    sizes["log_pi_calls"] = log_pi_calls[0]
+    sizes["log_pi_calls"] = states.log_pi_evals
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     out_path = cfg.out_dir / "certificate.json"
     out_path.write_text(json.dumps({
@@ -786,7 +782,7 @@ def cmd_diagnose(cfg: Resolved) -> int:
     tabulated = _tabulated(cfg, timed)
     if tabulated is None:
         return 2
-    target, model_desc, states, log_pi_calls = tabulated
+    target, model_desc, states = tabulated
     cert = cfg.certify
     stats = timed("stats", unimodality_stats, target, states)
     chain = timed("build", build_transition_matrix, target, cfg.spec, states)
@@ -803,7 +799,7 @@ def cmd_diagnose(cfg: Resolved) -> int:
         "model": model_desc, "stats": stats.to_json_dict(),
         "gap_report": report.to_json_dict(), "timings": timed,
         "sizes": {"states": len(states), "nnz_P": int(chain.P.count_nonzero()),
-                  "log_pi_calls": log_pi_calls[0]},
+                  "log_pi_calls": states.log_pi_evals},
     }, indent=2, default=str))
     worst_start = chain.states[int(np.argmin(chain.log_pis))]
     curve = tv_curve(chain, worst_start, int(cert["t_max"]))

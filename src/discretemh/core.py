@@ -120,6 +120,14 @@ class DiscreteTarget:
     ``log_posterior()``, ``flip(x, c)`` (the statistics after flipping
     coordinate c of x) and ``flip_log_pis(x)`` (log pi of every single flip
     of x, in coordinate order).
+
+    ``space``, when provided, tabulates the space in one call:
+    ``space(cap)`` returns the :class:`Space` that the breadth-first search
+    of :func:`enumerate_space` would build from ``log_pi`` and ``neighbors``
+    (the same states, positions, table and log pi, to the last bit), or
+    raises :class:`CapExceeded` as it would.  It must agree with
+    ``log_pi``, ``neighbors`` and ``seed_state``: a copy that replaces any
+    of them sets ``space=None``.
     """
 
     log_pi: Callable[[State], float]
@@ -128,6 +136,7 @@ class DiscreteTarget:
     name: str = ""
     neighbor_log_pis: Callable[[State], tuple[Sequence[State], np.ndarray]] | None = None
     stats_at: Callable[[State], object] | None = None
+    space: Callable[[int], Space] | None = None
 
     def neighbors_with_log_pi(self, x: State) -> tuple[Sequence[State], np.ndarray]:
         if self.neighbor_log_pis is not None:
@@ -183,7 +192,8 @@ class NeighborhoodStats:
 
 def enumerate_space(target: DiscreteTarget, cap: int = DEFAULT_ENUM_CAP) -> Space:
     """Breadth-first closure of the neighborhood relation from the seed state,
-    tabulated as it is found.
+    tabulated as it is found; ``target.space(cap)`` instead when the target
+    provides it.
 
     States with ``log_pi = -inf`` are skipped: they are proposal-only and carry
     no mass.  Every reachable state has its ``log_pi`` and its neighborhood
@@ -192,11 +202,14 @@ def enumerate_space(target: DiscreteTarget, cap: int = DEFAULT_ENUM_CAP) -> Spac
     """
     if cap <= 0:
         raise ValueError("cap must be positive")
+    if target.space is not None:
+        return target.space(cap)
     seed = target.seed_state
     found = {seed: target.log_pi(seed)}
     if found[seed] == -math.inf:
         raise DegenerateSpace("seed state has zero probability")
     rows = {}
+    evals = 1
     queue = deque([seed])
     while queue:
         x = queue.popleft()
@@ -205,6 +218,7 @@ def enumerate_space(target: DiscreteTarget, cap: int = DEFAULT_ENUM_CAP) -> Spac
             if y in found:
                 continue
             lp = target.log_pi(y)
+            evals += 1
             if lp == -math.inf:
                 continue
             found[y] = lp
@@ -212,8 +226,10 @@ def enumerate_space(target: DiscreteTarget, cap: int = DEFAULT_ENUM_CAP) -> Spac
                 raise CapExceeded(f"more than {cap} reachable states")
             queue.append(y)
     # tabulate from what the search evaluated
-    return tabulate(replace(target, log_pi=found.__getitem__, neighbors=rows.__getitem__),
-                    sorted(found))
+    space = tabulate(replace(target, log_pi=found.__getitem__, neighbors=rows.__getitem__),
+                     sorted(found))
+    space.log_pi_evals = evals
+    return space
 
 
 def logsumexp(a, axis=None):
@@ -257,12 +273,15 @@ class Space(Sequence):
     ``nbr[i, k]`` for k < ``deg[i]``, the size of its neighborhood; -1 marks
     a neighbor outside the space (probability 0) and the padding past
     ``deg[i]``.  ``rev[i, k]`` is the move of ``nbr[i, k]`` back to i.
-    ``pos`` maps each state to its position.
+    ``pos`` maps each state to its position.  ``log_pi_evals`` counts the
+    log pi evaluations that built the table: one per state, unless the
+    builder that evaluated more sets it.
     """
 
     def __init__(self, states: list, pos: dict, log_pis, nbr, deg, rev):
         self.states, self.pos = states, pos
         self.log_pis, self.nbr, self.deg, self.rev = log_pis, nbr, deg, rev
+        self.log_pi_evals = len(states)
 
     def __len__(self) -> int:
         return len(self.states)

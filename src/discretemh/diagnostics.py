@@ -46,6 +46,23 @@ class DegenerateRestriction(DiscreteMHError):
     """The restricted variance form vanishes identically."""
 
 
+class DenseTooLarge(DiscreteMHError):
+    """A dense fallback would build an n x n array past ``DENSE_MAX_STATES``."""
+
+
+#: The dense fallbacks (every eigenvalue when ARPACK stalls, matrix powers
+#: for a late tau) refuse spaces above this many states: 0.5 GB per array.
+DENSE_MAX_STATES = 8192
+
+
+def _check_dense(n: int) -> None:
+    if n > DENSE_MAX_STATES:
+        raise DenseTooLarge(
+            f"a dense {n} x {n} array would take {8 * n * n:,} bytes; the dense "
+            f"fallback stops at {DENSE_MAX_STATES} states"
+        )
+
+
 class DenseChain:
     """A chain on a tabulated space: its transition matrix ``P`` (a scipy
     CSR array), its stationary law and its cached extreme eigenvalues.
@@ -112,7 +129,8 @@ def _extreme_eigvals(mat, k: int, which: str) -> np.ndarray:
     ascending.  ARPACK starts from a fixed vector (its own start is random
     per call).  Below four states, where ARPACK cannot run, and where it
     stalls on clustered extreme eigenvalues (a nearly reducible chain), every
-    eigenvalue of the dense matrix is returned instead."""
+    eigenvalue of the dense matrix is returned instead, up to
+    ``DENSE_MAX_STATES`` states (:class:`DenseTooLarge` past it)."""
     from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
     n = mat.shape[0]
@@ -122,6 +140,7 @@ def _extreme_eigvals(mat, k: int, which: str) -> np.ndarray:
             return np.sort(eigsh(mat, k=k, which=which, v0=v0, return_eigenvectors=False))
     except ArpackNoConvergence:
         pass
+    _check_dense(n)
     return np.linalg.eigvalsh(mat @ np.eye(n))
 
 
@@ -292,11 +311,13 @@ def tau_x(chain: DenseChain, x: State, epsilon: float, t_cap: int = 1_000_000) -
 
     TV from a point never increases in t.  The row vector v P^t is walked
     for up to n steps; a later tau is found by doubling and bisection over
-    powers of the densified matrix.
+    powers of the densified matrix, up to ``DENSE_MAX_STATES`` states
+    (:class:`DenseTooLarge` past it).
     """
     walk = itertools.islice(_tv_walk(chain, x), min(chain.n, t_cap) + 1)
     tau = next((t for t, tv in enumerate(walk) if tv <= epsilon), None)
     if tau is None and t_cap > chain.n:
+        _check_dense(chain.n)
         dense, i = chain.P.toarray(), chain.index[x]
         tau = _first_time(
             lambda t: 0.5 * float(np.abs(np.linalg.matrix_power(dense, t)[i] - chain.pi).sum()),

@@ -5,17 +5,22 @@ through the Gram matrix, X'y and y'y, so those sufficient statistics are
 the only thing kept after data generation.  Model states are 0/1 tuples.
 Every evaluation takes a fresh Cholesky factor of the active Gram block; a
 vectorized one-shot scan evaluates every single-flip neighbor from one
-factor for informed proposals.  The solves call LAPACK's ``trtrs`` and
-``potrs`` directly, with the arguments scipy's ``solve_triangular`` and
-``cho_solve`` pass, so they give the wrappers' bits without their checks:
-``VarSelData`` checks the statistics finite once, and a nonzero ``info``
-raises ``LapackError``.  ``ModelState``/``update_model`` carry the factor
+factor for informed proposals.  The ``n1`` space is tabulated without a
+search: states are ranked as integers (coordinate c is bit p-1-c, so the
+integer order is the tuple order), and log pi is evaluated model size by
+model size, with one ``cholesky`` call on the stack of active Gram blocks
+of each size and one solve per model, to the bits of ``log_posterior``.
+The solves call LAPACK's ``trtrs`` and ``potrs`` directly, with the
+arguments scipy's ``solve_triangular`` and ``cho_solve`` pass, so they
+give the wrappers' bits without their checks: ``VarSelData`` checks the
+statistics finite once, and a nonzero ``info`` raises ``LapackError``.  ``ModelState``/``update_model`` carry the factor
 through add/drop/swap moves with rank-one extensions and downdates; they
 are the incremental oracle that fresh evaluation is checked against.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -24,7 +29,16 @@ from functools import cached_property, lru_cache
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .core import DiscreteMHError, DiscreteTarget, Flips, InvalidInit, philox_rng
+from .core import (
+    DegenerateSpace,
+    DiscreteMHError,
+    DiscreteTarget,
+    Flips,
+    InvalidInit,
+    Space,
+    enumerate_space,
+    philox_rng,
+)
 
 # Pivot smaller than this times the largest Gram diagonal counts as singular.
 PIVOT_RTOL = 1e-10
@@ -225,6 +239,38 @@ def log_posterior(data: VarSelData, hyper: VarSelHyper, delta) -> float:
     return _log_post_from_r2(data, hyper, size, r2)
 
 
+def _log_posts_of_size(data: VarSelData, hyper: VarSelHyper, active: np.ndarray) -> np.ndarray:
+    """``log_posterior`` of the models whose active coordinates are the rows
+    of ``active`` (increasing, one size s for all), bit for bit.
+
+    The Gram blocks are factored in one stacked ``cholesky`` call, and each
+    model takes its own triangular solve and dot product, as the scalar path
+    does: a batched solve rounds differently.  A stack that ``cholesky``
+    refuses is evaluated model by model.
+    """
+    n_models, size = active.shape
+    out = np.full(n_models, -np.inf)
+    if (hyper.s_max is not None and size > hyper.s_max) or size > data.n:
+        return out
+    explained = np.zeros(n_models)
+    ok = np.ones(n_models, dtype=bool)
+    if size:
+        try:
+            chol = np.linalg.cholesky(data.gram[active[:, :, None], active[:, None, :]])
+        except np.linalg.LinAlgError:
+            delta = np.zeros(data.p, dtype=int)
+            for m, row in enumerate(active):
+                delta[:] = 0
+                delta[row] = 1
+                out[m] = log_posterior(data, hyper, delta)
+            return out
+        ok = ~(np.diagonal(chol, axis1=1, axis2=2).min(axis=1) ** 2 <= data.pivot_tol)
+        explained[ok] = [z @ z for z in map(_solve_lower, chol[ok], data.xty[active[ok]])]
+    r2 = np.minimum(np.maximum(explained[ok] / data.yty, 0.0), 1.0)
+    out[ok] = _log_post_from_r2(data, hyper, size, r2)
+    return out
+
+
 def _flip_coords(delta, s_max: int | None, hard: bool) -> np.ndarray:
     """Flippable coordinates of a model: all of them, or with ``hard`` only
     those whose flip stays within the cap ``s_max``."""
@@ -394,6 +440,74 @@ def _n1_scan(data: VarSelData, hyper: VarSelHyper, cap: int | None, hard: bool):
     return scan
 
 
+def _n1_space(data: VarSelData, hyper: VarSelHyper, cap: int, hard: bool,
+              bfs: DiscreteTarget):
+    """``DiscreteTarget.space`` of the ``n1`` target: the models of at most
+    ``cap`` variables, ranked by their integer codes, tabulated in one pass.
+
+    With ``hard``, a model at the cap flips only its active coordinates.  A
+    space with more candidate models than the enumeration cap (or too many
+    variables for an int64 code) is left to the breadth-first search of
+    ``bfs``, which raises :class:`CapExceeded` as soon as it is over.
+    """
+    p = data.p
+    cap = min(cap, p)  # no model holds more than p variables
+    shift = p - 1 - np.arange(p)  # coordinate c is bit p-1-c
+
+    def space(enum_cap: int) -> Space:
+        if p > 62 or sum(math.comb(p, k) for k in range(cap + 1)) > enum_cap:
+            return enumerate_space(bfs, enum_cap)
+        by_size = [np.array(list(itertools.combinations(range(p), k)), dtype=np.intp)
+                   .reshape(math.comb(p, k), k) for k in range(cap + 1)]
+        codes = np.concatenate([(1 << shift[a]).sum(axis=1) for a in by_size])
+        order = np.argsort(codes)
+        codes = codes[order]
+        log_pis = np.concatenate([_log_posts_of_size(data, hyper, a) for a in by_size])[order]
+        if log_pis[0] == -np.inf:
+            raise DegenerateSpace("seed state has zero probability")
+
+        # move k of state i flips coordinate coords[i, k]: every coordinate,
+        # or only the active ones of a state at a hard cap
+        bits = (codes[:, None] >> shift) & 1
+        size = bits.sum(axis=1)
+        at_cap = hard & (size == cap)
+        deg = np.where(at_cap, size, p).astype(np.intp)
+        coords = np.tile(np.arange(p), (len(codes), 1))
+        coords[at_cap, :cap] = np.nonzero(bits[at_cap])[1].reshape(at_cap.sum(), cap)
+        coords = coords[:, :deg.max()]
+        moves = np.arange(coords.shape[1]) < deg[:, None]
+        flipped = codes[:, None] ^ (1 << shift[coords])
+        nbr = np.minimum(np.searchsorted(codes, flipped), len(codes) - 1)
+        moves &= codes[nbr] == flipped
+        # the reverse move flips the same coordinate: its rank among the
+        # neighbor's active coordinates when the neighbor is at the cap
+        before = np.cumsum(bits, axis=1) - bits
+        rev = np.where(at_cap[nbr], before[nbr, coords], coords)
+
+        finite = log_pis > -np.inf
+        if not finite.all():
+            # the seed's component among the states with mass
+            keep = np.zeros(len(codes), dtype=bool)
+            keep[0] = True
+            frontier = np.zeros(1, dtype=np.intp)
+            while len(frontier):
+                step = nbr[frontier][moves[frontier]]
+                frontier = np.unique(step[finite[step] & ~keep[step]])
+                keep[frontier] = True
+            moves &= keep[nbr]
+            rank = np.cumsum(keep) - 1
+            log_pis, bits, deg = log_pis[keep], bits[keep], deg[keep]
+            nbr, rev, moves = rank[nbr[keep]], rev[keep], moves[keep]
+        nbr = np.where(moves, nbr, -1)
+        rev = np.where(moves, rev, -1)
+        states = list(map(tuple, bits.tolist()))
+        space = Space(states, dict(zip(states, range(len(states)))), log_pis, nbr, deg, rev)
+        space.log_pi_evals = len(order)
+        return space
+
+    return space
+
+
 def varsel_target(
     data: VarSelData,
     hyper: VarSelHyper,
@@ -417,13 +531,16 @@ def varsel_target(
         return neighbors(delta, neighborhood, s_max=cap, hard=hard_space)
 
     scan = _n1_scan(data, hyper, cap, hard_space) if neighborhood == "n1" else None
-    return DiscreteTarget(
+    target = DiscreteTarget(
         log_pi=log_pi,
         neighbors=nbrs,
         seed_state=tuple([0] * data.p),
         name=name or f"varsel(p={data.p}, n={data.n}, {neighborhood})",
         neighbor_log_pis=scan,
     )
+    if neighborhood != "n1":
+        return target
+    return replace(target, space=_n1_space(data, hyper, cap, hard_space, target))
 
 
 # ---------------------------------------------------------------------------

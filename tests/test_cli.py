@@ -327,6 +327,34 @@ class TestCertify:
         assert f"config error: certify.{key} must lie in" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", [0, -1, 2.5, "many"])
+    def test_bad_enum_cap_is_a_config_error(self, tmp_path, capsys, value):
+        raw = {
+            "model": {"kind": "example3"},
+            "kernel": {"family": "random-walk"},
+            "certify": {"enum_cap": value},
+        }
+        path = write_cfg(tmp_path, raw)
+        out = tmp_path / "o"
+        assert main(["certify", "--config", str(path), "--method", "flow", "--out", str(out)]) == 2
+        assert "config error: certify.enum_cap must be an integer >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_drift_at_the_enum_cap(self, tmp_path, capsys):
+        # 2^12 = 4,096 models, the default cap, tabulated by the batched n1 space
+        raw = {
+            "model": {"kind": "varsel", "p": 12, "n": 400, "covariance": "moderate",
+                      "g": "p^3", "kappa": 1.0},
+            "kernel": {"family": "informed", "ell": "p", "big_l": "p^3"},
+            "run": {"seed": 7},
+        }
+        path = write_cfg(tmp_path, raw)
+        out = tmp_path / "o"
+        assert main(["certify", "--config", str(path), "--method", "drift", "--out", str(out)]) == 0
+        sizes = json.loads((out / "certificate.json").read_text())["sizes"]
+        assert sizes["states"] == sizes["log_pi_calls"] == 4096
+        capsys.readouterr()
+
     def test_informed_drift(self, tmp_path, capsys):
         raw = load_config(TEMPLATES / "certify-varsel-small.yaml")
         cfg = resolve_config(raw, out=str(tmp_path))

@@ -25,7 +25,14 @@ from discretemh.core import (
     tabulate,
     unimodality_stats,
 )
-from discretemh.diagnostics import boundary_log_ratio, build_transition_matrix, tau_x
+from discretemh import diagnostics
+from discretemh.diagnostics import (
+    DenseTooLarge,
+    boundary_log_ratio,
+    build_transition_matrix,
+    spectral_gap,
+    tau_x,
+)
 from discretemh.samplers import AsymmetricNeighborhood, KernelSpec
 from test_core import brute_force_stats
 from test_transition import KERNELS, ZOO_NAMES
@@ -135,15 +142,33 @@ def test_tau_walk_equals_matrix_power_search(fixture_zoo, zoo_enumerations, name
                 chain.P.toarray(), chain.pi, chain.index[x], eps), (x, eps)
 
 
-def test_tau_cap():
+def _tau_pair():
     # pi = (3/4, 1/4): TV from state 0 after t steps is (1/4) (1/3)^t
-    pair = build_transition_matrix(
+    return build_transition_matrix(
         DiscreteTarget(log_pi=[0.0, -math.log(3.0)].__getitem__, neighbors=lambda s: [1 - s],
                        seed_state=0),
         KernelSpec(),
     )
+
+
+def test_tau_cap():
+    pair = _tau_pair()
     assert tau_x(pair, 0, 0.01) == tau_x(pair, 0, 0.01, t_cap=3) == 3
     assert tau_x(pair, 0, 0.01, t_cap=2) is None
+
+
+def test_dense_fallbacks_refuse_large_spaces(fixture_zoo, monkeypatch):
+    # tau = 3 > n = 2 takes the matrix-power search; ARPACK stalls on the
+    # random walk over varsel-p6-smax3's 42 states and falls back to eigvalsh
+    pair = _tau_pair()
+    stalled = build_transition_matrix(fixture_zoo["varsel-p6-smax3"], KERNELS["rw"])
+    monkeypatch.setattr(diagnostics, "DENSE_MAX_STATES", 1)
+    with pytest.raises(DenseTooLarge, match=r"dense 2 x 2 array would take 32 bytes"):
+        tau_x(pair, 0, 0.01)
+    with pytest.raises(DenseTooLarge, match=r"dense 42 x 42 array would take 14,112 bytes"):
+        spectral_gap(stalled)
+    monkeypatch.setattr(diagnostics, "DENSE_MAX_STATES", 42)
+    assert tau_x(pair, 0, 0.01) == 3 and spectral_gap(stalled).n_states == 42
 
 
 def test_tabulate_raises_on_asymmetric_neighborhood():
@@ -164,21 +189,37 @@ def test_space_is_the_state_sequence(example3_v_n1):
     assert space.index((0, 1, 1)) == 3 and space.pos[(0, 1, 1)] == 3
 
 
-def test_enumeration_evaluates_each_state_once(fixture_zoo):
-    target = fixture_zoo["varsel-p5"]
-    calls = {"log_pi": 0, "neighbors": 0}
-
+def _counting(target, calls, space):
+    """``target`` with ``log_pi`` and ``neighbors`` counted into ``calls``."""
     def counted(name, fn):
         def wrapper(x):
             calls[name] += 1
             return fn(x)
         return wrapper
 
-    counting = dataclasses.replace(
+    return dataclasses.replace(
         target, log_pi=counted("log_pi", target.log_pi),
-        neighbors=counted("neighbors", target.neighbors),
+        neighbors=counted("neighbors", target.neighbors), space=space,
     )
+
+
+def test_enumeration_evaluates_each_state_once(fixture_zoo):
+    # the breadth-first search, without the target's batched tabulation
+    calls = {"log_pi": 0, "neighbors": 0}
+    counting = _counting(fixture_zoo["varsel-p5"], calls, None)
     space = enumerate_space(counting, 4096)
     assert isinstance(space, Space) and tabulate(counting, space) is space
     build_transition_matrix(counting, KernelSpec("informed", ell=2.0, big_l=50.0), space)
     assert calls == {"log_pi": len(space), "neighbors": len(space)} and len(space) == 32
+    assert space.log_pi_evals == 32
+
+
+def test_batched_enumeration_makes_no_per_state_calls(fixture_zoo):
+    target = fixture_zoo["varsel-p5"]
+    calls = {"log_pi": 0, "neighbors": 0}
+    counting = _counting(target, calls, target.space)
+    space = enumerate_space(counting, 4096)
+    build_transition_matrix(counting, KernelSpec("informed", ell=2.0, big_l=50.0), space)
+    assert calls == {"log_pi": 0, "neighbors": 0} and space.log_pi_evals == 32
+    bfs = enumerate_space(dataclasses.replace(target, space=None), 4096)
+    assert space == bfs and np.array_equal(space.log_pis, bfs.log_pis)
