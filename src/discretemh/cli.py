@@ -242,21 +242,31 @@ _CERTIFY_RANGES = {"epsilon": ((), 0.0, 1.0), "q": ((None,), 0.0, 1.0),
                    "s_threshold": (("auto",), 1.0, math.inf)}
 
 
+def _as_float(value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return math.nan
+
+
 def _check_certify_numbers(certify: dict) -> None:
     for key, (words, lo, hi) in _CERTIFY_RANGES.items():
         value = certify[key]
         if value in words:
             continue
-        try:
-            number = float(value)
-        except (TypeError, ValueError):
-            number = math.nan
+        number = _as_float(value)
         if not lo < number < hi:
             raise ConfigError(f"certify.{key} must lie in ({lo:g}, {hi:g}), got {value!r}")
         certify[key] = number
-    cap = certify["enum_cap"]
-    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
-        raise ConfigError(f"certify.enum_cap must be an integer >= 1, got {cap!r}")
+    eta = certify["eta"]
+    if eta is not None:
+        if isinstance(eta, bool) or not 0.0 < _as_float(eta) <= 1.0:
+            raise ConfigError(f"certify.eta must be null or lie in (0, 1], got {eta!r}")
+        certify["eta"] = float(eta)
+    for key in ("enum_cap", "t_max"):
+        value = certify[key]
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ConfigError(f"certify.{key} must be an integer >= 1, got {value!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ import time
 from collections.abc import Callable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -79,9 +80,12 @@ def clip_weight(u: float, ell: float, big_l: float) -> float:
 
 
 def log_clip_weight(log_u, ell: float, big_l: float):
-    """Log-domain clip: works on scalars or arrays of log ratios."""
+    """Log-domain clip: works on scalars or arrays of log ratios.  With
+    nothing to clip (``ell = 0``, ``L = inf``) ``log_u`` itself is returned."""
     if not ell < big_l:
         raise InvalidClip(f"need ell < L, got ell={ell}, L={big_l}")
+    if ell == 0 and big_l == math.inf:
+        return log_u
     lo = math.log(ell) if ell > 0 else -math.inf
     hi = math.log(big_l) if math.isfinite(big_l) else math.inf
     return np.clip(log_u, lo, hi)
@@ -92,7 +96,15 @@ class Scan:
     """A kernel's view of one state: its neighbors and, for informed kernels,
     their ``log_pis`` and the log proposal probabilities ``log_q``.  The
     random walk proposes uniformly and leaves both ``None``.  ``stats`` are
-    the target's sufficient statistics at the state, when it has them."""
+    the target's sufficient statistics at the state, when it has them.
+
+    A chain carries the scan while it stays at the state, and the scan
+    remembers what was worked out there: ``moves[j]`` holds ``(log pi(y),
+    log alpha)`` of the move to the j-th neighbor y once it has been
+    proposed and rejected, and ``cdf`` the informed proposal's cumulative
+    weights once the first proposal has been drawn.  Both are functions of
+    the state alone, so reading them gives the bits computing them again
+    would, and both go with the scan when the chain moves."""
 
     state: State
     log_pi: float
@@ -100,10 +112,16 @@ class Scan:
     log_q: np.ndarray | None = None
     log_pis: np.ndarray | None = None
     stats: object = None
+    moves: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n_evals(self) -> int:
         return 0 if self.log_pis is None else len(self.neighbors)
+
+    @cached_property
+    def cdf(self) -> np.ndarray:
+        """Cumulative informed proposal weights, ``cumsum(exp(log_q))``."""
+        return np.cumsum(np.exp(self.log_q))
 
     def log_k(self, j: int) -> float:
         """Log probability of proposing the j-th neighbor."""
@@ -222,12 +240,12 @@ class StepMeta:
     n_evals: int
     next_log_pi: float
     n_scans: int = 0
+    n_reused: int = 0
 
 
-def _sample_index(rng: np.random.Generator, probs: np.ndarray) -> int:
-    c = np.cumsum(probs)
-    u = rng.random() * c[-1]
-    return int(np.searchsorted(c, u, side="right").clip(0, len(probs) - 1))
+def _sample_index(rng: np.random.Generator, cdf: np.ndarray) -> int:
+    u = rng.random() * cdf[-1]
+    return min(int(np.searchsorted(cdf, u, side="right")), len(cdf) - 1)
 
 
 def _transition(
@@ -240,29 +258,46 @@ def _transition(
 ) -> tuple[State, StepMeta, Scan | None]:
     """One transition from ``x``, given the scan at x if the previous step
     left it.  Returns the next state, the step's record and the scan at the
-    next state: the scan at y when y is accepted, the scan at x otherwise."""
+    next state: the scan at y when y is accepted, the scan at x otherwise.
+
+    A move the scan at x remembers (see :class:`Scan`) is not worked out
+    again unless it is accepted, which needs the scan at y."""
     if spec.lazy and rng.random() < 0.5:
         return x, StepMeta(None, False, True, 0.0, 0, x_log_pi), sx
-    n_evals = n_scans = 0
+    n_evals = n_scans = n_reused = 0
     if sx is None:
         sx = scan_at(target, x, x_log_pi, spec)
         n_evals, n_scans = sx.n_evals, 1
+    else:
+        n_reused = 1
     if sx.log_q is None:
         j = int(rng.integers(len(sx.neighbors)))
     else:
-        j = _sample_index(rng, np.exp(sx.log_q))
+        j = _sample_index(rng, sx.cdf)
     y = sx.neighbors[j]
-    lp_y, sy, log_alpha, n = _move(target, sx, j, y, spec)
-    n_evals += n
-    n_scans += sy is not None
+    remembered = sx.moves.get(j)
+    if remembered is None:
+        lp_y, sy, log_alpha, n = _move(target, sx, j, y, spec)
+        n_evals += n
+        n_scans += sy is not None
+    else:
+        (lp_y, log_alpha), sy = remembered, None
 
     if log_alpha >= 0:
         accepted = True
     else:
         accepted = math.log(rng.random()) < log_alpha if log_alpha > -math.inf else False
     if accepted:
-        return y, StepMeta(y, True, False, float(log_alpha), n_evals, lp_y, n_scans), sy
-    return x, StepMeta(y, False, False, float(log_alpha), n_evals, x_log_pi, n_scans), sx
+        if sy is None:
+            _, sy, _, n = _move(target, sx, j, y, spec)
+            n_evals += n
+            n_scans += 1
+        return y, StepMeta(y, True, False, log_alpha, n_evals, lp_y, n_scans, n_reused), sy
+    if remembered is None:
+        sx.moves[j] = (lp_y, log_alpha)
+    else:
+        n_reused += lp_y > -math.inf
+    return x, StepMeta(y, False, False, log_alpha, n_evals, x_log_pi, n_scans, n_reused), sx
 
 
 def step(
@@ -287,8 +322,14 @@ def step(
 @dataclass
 class ChainTrace:
     """A realized chain: states, their log probabilities, per-step flags and
-    counters: ``log_pi`` evaluations, neighborhood scans computed and reused,
-    and proposals rejected for zero probability."""
+    counters.  ``evals`` counts the ``log_pi`` evaluations made and
+    ``scans`` the neighborhood scans computed.  ``scans_reused`` counts the
+    scans a step needed but did not compute: the forward scan carried from
+    the step before, and the reverse scan of a move that was proposed again
+    during the same stay and rejected again.
+    ``neg_inf_rejects`` counts proposals rejected for zero probability, which
+    need no reverse scan, so over the ``moves`` non-lazy steps ``scans +
+    scans_reused == 2 * moves - neg_inf_rejects``."""
 
     seed: object
     spec: KernelSpec
@@ -320,8 +361,11 @@ def run_chain(
     state lies in it is recorded, and the run terminates there when
     ``stop_early`` is set (traces are fixed-length otherwise so that
     replicate aggregation stays rectangular).  The chain makes the same
-    transitions as repeated :func:`step` calls, but one scan serves as the
-    reverse scan of a move and as the forward scan of the next step.
+    transitions as repeated :func:`step` calls, with the same random draws,
+    but it reuses work: one scan serves as the reverse scan of a move and
+    as the forward scan of the next step, and while the chain stays at a
+    state, a move proposed again is read from that scan's memory of
+    rejected moves instead of being worked out again.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
@@ -351,14 +395,13 @@ def run_chain(
     for i in range(n_steps):
         if hit is not None and stop_early:
             break
-        carried = sx is not None
         x, meta, sx = _transition(target, x, lp, sx, spec, rng)
         lp = meta.next_log_pi
         states.append(x)
         log_pis.append(lp)
         accepted[i] = meta.accepted
         lazy_stays[i] = meta.lazy_stay
-        reused += carried and not meta.lazy_stay
+        reused += meta.n_reused
         evals += meta.n_evals
         scans += meta.n_scans
         neg_inf += meta.log_alpha == -math.inf

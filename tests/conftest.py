@@ -3,11 +3,14 @@ and theorem-verification suites."""
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from discretemh import sbm, toy, varsel
 from discretemh.core import enumerate_space
 from discretemh.core import philox_rng
+from discretemh.samplers import scan_at, step
 
 N_WORKERS = 2  # results are worker-count invariant; two keeps test latency low
 
@@ -67,3 +70,46 @@ def fixture_zoo(example3_v_n1, example3_v2_n1, example3_v2_ads):
 @pytest.fixture(scope="session")
 def zoo_enumerations(fixture_zoo):
     return {name: enumerate_space(t, 4096) for name, t in fixture_zoo.items()}
+
+
+def stateless_chain(target, start, spec, n_steps, seed) -> dict:
+    """``n_steps`` stateless ``step`` calls from ``start`` in ``run_chain``'s
+    draw order: the states, log pis, proposals and flags, and the counters
+    ``run_chain`` must report for them under its reuse rules.  The scan at
+    the current state is computed once, at the first move, and carried from
+    then on.  A move proposed again while the chain stays put is not worked
+    out again unless it is accepted: then its log pi and the scan at its
+    target are, and a rejected repeat counts one reused scan."""
+    rng = philox_rng(seed)
+    x, lp = start, target.log_pi(start)
+    out = {"states": [x], "log_pis": [lp], "proposals": [], "accepted": [], "lazy_stays": [],
+           "evals": 0, "scans": 0, "scans_reused": 0, "neg_inf_rejects": 0}
+    fwd_evals, rejected, carried = {}, set(), False
+    for _ in range(n_steps):
+        y, meta = step(target, x, spec, rng, x_log_pi=lp)
+        out["proposals"].append(meta.proposal)
+        out["accepted"].append(meta.accepted)
+        out["lazy_stays"].append(meta.lazy_stay)
+        if not meta.lazy_stay:
+            if x not in fwd_evals:
+                fwd_evals[x] = scan_at(target, x, lp, spec).n_evals
+            if carried:
+                out["scans_reused"] += 1
+            else:
+                out["scans"] += 1
+                out["evals"] += fwd_evals[x]
+                carried = True
+            out["neg_inf_rejects"] += meta.log_alpha == -math.inf
+            if meta.proposal in rejected and not meta.accepted:
+                out["scans_reused"] += meta.log_alpha > -math.inf
+            else:
+                out["evals"] += meta.n_evals - fwd_evals[x]
+                out["scans"] += meta.n_scans - 1
+            if meta.accepted:
+                rejected = set()
+            else:
+                rejected.add(meta.proposal)
+        x, lp = y, meta.next_log_pi
+        out["states"].append(x)
+        out["log_pis"].append(lp)
+    return out

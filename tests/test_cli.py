@@ -30,7 +30,7 @@ from discretemh.cli import (
 )
 from discretemh.samplers import run_chain
 from discretemh.varsel import EXAMPLE3_G, EXAMPLE3_KAPPA, example3_fixture_path
-from conftest import N_WORKERS
+from conftest import N_WORKERS, stateless_chain
 
 TEMPLATES = Path(__file__).resolve().parents[1] / "src" / "discretemh" / "templates"
 
@@ -185,7 +185,8 @@ class TestExperiment:
                     "init": {"scheme": "third-wrong"}},
         }
         out = tmp_path / "o"
-        assert cmd_experiment(resolve_config(load_config(write_cfg(tmp_path, cfg)), out=str(out))) == 0
+        resolved = resolve_config(load_config(write_cfg(tmp_path, cfg)), out=str(out))
+        assert cmd_experiment(resolved) == 0
         lines = (out / "runs.csv").read_text().splitlines()
         assert lines[1] == (
             "index,hit,hit_iteration,steps,elapsed_s,elapsed_to_hit_s,"
@@ -193,13 +194,34 @@ class TestExperiment:
         )
         rows = [dict(zip(lines[1].split(","), ln.split(","))) for ln in lines[2:]]
         assert len(rows) == 3
-        for row in rows:
+        # random walk: one log_pi and one scan per move, but a move proposed
+        # again while the chain stays put costs neither unless it is accepted
+        factory = make_factory(resolved)
+        counters = ("evals", "scans", "scans_reused", "neg_inf_rejects")
+        for i, (row, child) in enumerate(zip(rows, np.random.SeedSequence(3).spawn(3))):
             assert float(row["elapsed_s"]) > 0
             assert int(row["steps"]) == 40
-            # random walk: one log_pi per move, one scan at x, then one per move
-            assert int(row["evals"]) == 40
-            assert int(row["scans"]) == 41 and int(row["scans_reused"]) == 39
-            assert int(row["neg_inf_rejects"]) == 0
+            data_seq, chain_seq = child.spawn(2)
+            target, init, _ = factory(i, data_seq)
+            ref = stateless_chain(target, init, resolved.spec, 40, chain_seq)
+            assert [int(row[c]) for c in counters] == [ref[c] for c in counters]
+        # 40 moves with no zero-probability proposal, and some repeats
+        assert sum(int(row["evals"]) for row in rows) < 3 * 40
+        assert all(int(row["scans"]) + int(row["scans_reused"]) == 80 for row in rows)
+
+    def test_stalled_unclipped_chain_reuses_its_scans(self, tmp_path):
+        raw = yaml.safe_load((TEMPLATES / "varsel-desk-imh-unclipped.yaml").read_text())
+        raw["run"].update(n_runs=3, budget=1500, stop_early=False)
+        out = tmp_path / "o"
+        assert cmd_experiment(resolve_config(load_config(write_cfg(tmp_path, raw)), out=str(out))) == 0
+        lines = (out / "runs.csv").read_text().splitlines()
+        rows = [dict(zip(lines[1].split(","), ln.split(","))) for ln in lines[2:]]
+        assert len(rows) == 3
+        for row in rows:
+            steps, scans = int(row["steps"]), int(row["scans"])
+            assert steps == 1500
+            assert scans + int(row["scans_reused"]) == 2 * steps - int(row["neg_inf_rejects"])
+            assert scans < steps / 10
 
     def test_sbm_without_init_starts_third_wrong(self, tmp_path, capsys):
         raw = {"model": SMALL_SBM, "run": {"n_runs": 1, "budget": 5}}
@@ -338,6 +360,26 @@ class TestCertify:
         out = tmp_path / "o"
         assert main(["certify", "--config", str(path), "--method", "flow", "--out", str(out)]) == 2
         assert "config error: certify.enum_cap must be an integer >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("t_max", "many", "an integer >= 1"), ("t_max", 0, "an integer >= 1"),
+        ("t_max", -1, "an integer >= 1"), ("t_max", 2.5, "an integer >= 1"),
+        ("eta", "many", "null or lie in (0, 1]"), ("eta", 0, "null or lie in (0, 1]"),
+        ("eta", 1.5, "null or lie in (0, 1]"),
+    ])
+    @pytest.mark.parametrize("command", [["certify", "--method", "flow"], ["diagnose"]])
+    def test_bad_t_max_or_eta_is_a_config_error(self, tmp_path, capsys, command, key, value,
+                                                 message):
+        raw = {
+            "model": {"kind": "example3", "space": "v2", "neighborhood": "ads"},
+            "kernel": {"family": "random-walk"},
+            "certify": {key: value, "x0": "smax:2"},
+        }
+        path = write_cfg(tmp_path, raw)
+        out = tmp_path / "o"
+        assert main([*command, "--config", str(path), "--out", str(out)]) == 2
+        assert f"config error: certify.{key} must be {message}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_drift_at_the_enum_cap(self, tmp_path, capsys):

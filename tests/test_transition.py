@@ -4,19 +4,22 @@ The dense matrix, the single-move acceptance ratio and the sampler's step
 must describe one kernel: every off-diagonal matrix entry is the proposal
 probability times the acceptance probability of that move, the step
 reports the same log acceptance ratio for the proposal it drew, a chain
-that carries its scan and model statistics from step to step makes the
-same moves as repeated stateless steps, and chain traces at a fixed seed
-stay bit-identical to recorded digests.
+that carries its scan and model statistics from step to step, and
+remembers the moves it rejected while it stays put, makes the same moves
+as repeated stateless steps, and chain traces at a fixed seed stay
+bit-identical to recorded digests.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from discretemh.cli import load_config, make_factory, resolve_config
 from discretemh.core import enumerate_space, philox_rng
 from discretemh.diagnostics import build_transition_matrix
 from discretemh.samplers import (
@@ -25,9 +28,11 @@ from discretemh.samplers import (
     acceptance_log_ratio,
     informed_proposal_dist,
     run_chain,
+    scan_at,
     step,
 )
 from discretemh.sbm import BlockCounts
+from conftest import stateless_chain
 
 KERNELS = {
     "rw": KernelSpec(),
@@ -89,23 +94,15 @@ def test_carried_chain_equals_stateless_steps(fixture_zoo, zoo_enumerations, nam
     target, spec = fixture_zoo[name], CHAIN_SPECS[kernel]
     start = min(zoo_enumerations[name], key=target.log_pi)
     trace = run_chain(target, start, spec, 400, 31)
-    rng = philox_rng(31)
-    x, lp = start, target.log_pi(start)
-    states, log_pis, accepted, lazy = [x], [lp], [], []
-    for _ in range(400):
-        x, meta = step(target, x, spec, rng, x_log_pi=lp)
-        lp = meta.next_log_pi
-        states.append(x)
-        log_pis.append(lp)
-        accepted.append(meta.accepted)
-        lazy.append(meta.lazy_stay)
-    assert trace.states == states
-    assert np.array_equal(trace.log_pis, log_pis)
-    assert np.array_equal(trace.accepted, accepted)
-    assert np.array_equal(trace.lazy_stays, lazy)
+    ref = stateless_chain(target, start, spec, 400, 31)
+    assert trace.states == ref["states"]
+    assert np.array_equal(trace.log_pis, ref["log_pis"])
+    assert np.array_equal(trace.accepted, ref["accepted"])
+    assert np.array_equal(trace.lazy_stays, ref["lazy_stays"])
     moves = 400 - int(trace.lazy_stays.sum())
     assert trace.scans + trace.scans_reused == moves + (moves - trace.neg_inf_rejects)
-    assert trace.scans_reused == max(moves - 1, 0)
+    counters = ("evals", "scans", "scans_reused", "neg_inf_rejects")
+    assert [getattr(trace, c) for c in counters] == [ref[c] for c in counters]
 
 
 @pytest.mark.parametrize("kernel", sorted(CHAIN_SPECS))
@@ -123,6 +120,80 @@ def test_carried_block_counts_match_fresh(fixture_zoo, kernel):
     assert (sx.stats.sizes, sx.stats.m_edges) == (fresh.sizes, fresh.m_edges)
     assert np.array_equal(sx.stats.tallies, fresh.tallies)
     assert sx.stats.log_posterior() == target.log_pi(x)
+
+
+def _desk_unclipped():
+    """The first replicate of ``varsel-desk-imh-unclipped.yaml`` at seed 7
+    (p=30): its target, start, kernel and chain seed."""
+    template = Path(__file__).resolve().parents[1] / "src" / "discretemh" / "templates"
+    cfg = resolve_config(load_config(template / "varsel-desk-imh-unclipped.yaml"), seed=7)
+    data_seq, chain_seq = np.random.SeedSequence(7).spawn(1)[0].spawn(2)
+    target, init, _ = make_factory(cfg)(0, data_seq)
+    return target, init, cfg.spec, chain_seq
+
+
+def test_unclipped_desk_chain_reuses_rejected_moves():
+    # the unclipped kernel stalls: most steps propose a move already rejected
+    target, init, spec, seed = _desk_unclipped()
+    trace = run_chain(target, init, spec, 300, seed, stop_early=False)
+    ref = stateless_chain(target, init, spec, 300, seed)
+    assert trace.states == ref["states"]
+    assert np.array_equal(trace.log_pis, ref["log_pis"])
+    assert np.array_equal(trace.accepted, ref["accepted"])
+    counters = ("evals", "scans", "scans_reused", "neg_inf_rejects")
+    assert [getattr(trace, c) for c in counters] == [ref[c] for c in counters]
+    proposals = set(zip(ref["states"], ref["proposals"]))
+    # the scan at the start, then one per distinct proposal: 4 scans, 3 proposals
+    assert trace.scans - 1 <= len(proposals) < 300 // 10
+
+
+def _remembered_then_accepted(target, start, spec, n_steps, seed):
+    """Walk ``_transition`` and yield (y, log pi(y), scan carried to y) for
+    every accepted move that had been proposed and rejected before during
+    the same stay."""
+    rng = philox_rng(seed)
+    x, lp, sx, rejected = start, target.log_pi(start), None, set()
+    for _ in range(n_steps):
+        x, meta, sx = _transition(target, x, lp, sx, spec, rng)
+        lp = meta.next_log_pi
+        if meta.accepted:
+            if meta.proposal in rejected:
+                yield x, lp, sx
+            rejected = set()
+        elif not meta.lazy_stay:
+            rejected.add(meta.proposal)
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+@pytest.mark.parametrize("name", ["example3-v-n1", "sbm-p7", "tree-12"])
+def test_remembered_move_accepted_carries_fresh_scan(fixture_zoo, zoo_enumerations, name, kernel):
+    target, spec = fixture_zoo[name], KERNELS[kernel]
+    start = min(zoo_enumerations[name], key=target.log_pi)
+    n = 0
+    for y, lp_y, sy in _remembered_then_accepted(target, start, spec, 2000, 17):
+        fresh = scan_at(target, y, lp_y, spec)
+        assert sy.state == y and list(sy.neighbors) == list(fresh.neighbors)
+        assert np.array_equal(sy.log_q, fresh.log_q)
+        assert np.array_equal(sy.log_pis, fresh.log_pis)
+        if fresh.stats is not None:
+            assert (sy.stats.sizes, sy.stats.m_edges) == (fresh.stats.sizes, fresh.stats.m_edges)
+            assert np.array_equal(sy.stats.tallies, fresh.stats.tallies)
+        n += 1
+    assert n > 0
+
+
+def test_move_memory_is_bounded_and_freed_on_a_move():
+    target, init, spec, seed = _desk_unclipped()
+    rng = philox_rng(seed)
+    x, lp, sx, largest = init, target.log_pi(init), None, 0
+    for _ in range(1500):
+        x, meta, sx = _transition(target, x, lp, sx, spec, rng)
+        lp = meta.next_log_pi
+        assert len(sx.moves) <= len(sx.neighbors)
+        if meta.accepted:
+            assert not sx.moves
+        largest = max(largest, len(sx.moves))
+    assert largest > 0
 
 
 # sha256 of repr(states) over 300 steps at seed 2024 from the least probable
