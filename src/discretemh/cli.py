@@ -208,6 +208,11 @@ def resolve_config(raw: dict, seed=None, workers=None, out=None) -> Resolved:
         model["g"] = resolve_scale(model["g"], model["p"])
     elif kind == "example3":
         model["p"] = 3
+    elif kind == "sbm":
+        for key in ("p_within", "p_between"):
+            rate = model[key]
+            if isinstance(rate, bool) or not 0.0 <= _as_float(rate) <= 1.0:
+                raise ConfigError(f"model.{key} must lie in [0, 1], got {rate!r}")
 
     kernel = _with_defaults(raw.get("kernel") or {}, _SCHEMA["kernel"])
     family = kernel["family"]

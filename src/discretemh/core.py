@@ -116,8 +116,9 @@ class DiscreteTarget:
 
     ``stats_at``, when provided, builds the sufficient statistics of a state
     whose neighbors are a :class:`Flips`; a chain carries them from state to
-    state instead of recomputing them.  The statistics object has
-    ``log_posterior()``, ``flip(x, c)`` (the statistics after flipping
+    state instead of recomputing them, and reads log pi at its start from
+    them.  The statistics object has ``log_posterior()`` (``log_pi`` of
+    the state, bit for bit), ``flip(x, c)`` (the statistics after flipping
     coordinate c of x) and ``flip_log_pis(x)`` (log pi of every single flip
     of x, in coordinate order).
 

@@ -255,10 +255,12 @@ def _transition(
     sx: Scan | None,
     spec: KernelSpec,
     rng: np.random.Generator,
+    stats=None,
 ) -> tuple[State, StepMeta, Scan | None]:
     """One transition from ``x``, given the scan at x if the previous step
-    left it.  Returns the next state, the step's record and the scan at the
-    next state: the scan at y when y is accepted, the scan at x otherwise.
+    left it, or else the target's statistics at x if they are at hand.
+    Returns the next state, the step's record and the scan at the next
+    state: the scan at y when y is accepted, the scan at x otherwise.
 
     A move the scan at x remembers (see :class:`Scan`) is not worked out
     again unless it is accepted, which needs the scan at y."""
@@ -266,7 +268,7 @@ def _transition(
         return x, StepMeta(None, False, True, 0.0, 0, x_log_pi), sx
     n_evals = n_scans = n_reused = 0
     if sx is None:
-        sx = scan_at(target, x, x_log_pi, spec)
+        sx = scan_at(target, x, x_log_pi, spec, stats)
         n_evals, n_scans = sx.n_evals, 1
     else:
         n_reused = 1
@@ -379,7 +381,10 @@ def run_chain(
             stop_set = frozenset([stop_at])
 
     x = init
-    lp = target.log_pi(x)
+    # a target with statistics builds them once: log pi at the start is read
+    # from them, and they serve the first scan
+    stats = None if target.stats_at is None else target.stats_at(x)
+    lp = target.log_pi(x) if stats is None else stats.log_posterior()
     if lp == -math.inf:
         raise ValueError("initial state has zero probability")
     states = [x]
@@ -395,7 +400,7 @@ def run_chain(
     for i in range(n_steps):
         if hit is not None and stop_early:
             break
-        x, meta, sx = _transition(target, x, lp, sx, spec, rng)
+        x, meta, sx = _transition(target, x, lp, sx, spec, rng, stats if sx is None else None)
         lp = meta.next_log_pi
         states.append(x)
         log_pis.append(lp)

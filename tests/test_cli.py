@@ -237,6 +237,22 @@ class TestExperiment:
         assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "error: InvalidInit: unknown init scheme 'uniform-m'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, rate", [("p_within", 1.5), ("p_between", -0.1),
+                                           ("p_within", "high"), ("p_between", True),
+                                           ("p_within", float("nan"))])
+    def test_sbm_rate_outside_unit_interval_is_config_error(self, tmp_path, capsys, key, rate):
+        raw = {"model": {**SMALL_SBM, key: rate}, "run": {"n_runs": 1, "budget": 5}}
+        with pytest.raises(ConfigError, match=f"model.{key} must lie in \\[0, 1\\]"):
+            resolve_config(raw)
+        path = write_cfg(tmp_path, raw)
+        assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert f"model.{key} must lie in [0, 1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rate", [0, 1, 0.0, 1.0])
+    def test_sbm_rate_bounds_are_legal(self, rate):
+        raw = {"model": {**SMALL_SBM, "p_within": rate, "p_between": rate}}
+        assert resolve_config(raw).model["p_within"] == rate
+
     def test_sbm_rejects_varsel_init_keys(self, tmp_path, capsys):
         raw = {"model": SMALL_SBM,
                "run": {"n_runs": 1, "budget": 5, "init": {"scheme": "third-wrong", "m": 7}}}

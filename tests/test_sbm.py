@@ -14,8 +14,10 @@ from discretemh.core import (
     philox_rng,
     unimodality_stats,
 )
+from discretemh.core import DiscreteMHError
 from discretemh.sbm import (
     BlockCounts,
+    InvalidGraph,
     SbmData,
     corrupt_labels,
     flip_update,
@@ -26,6 +28,24 @@ from discretemh.sbm import (
     sbm_target,
     true_labels,
 )
+
+
+def three_array_log_posterior(counts: BlockCounts) -> float:
+    """Oracle: the collapsed log posterior as three beta terms evaluated on
+    arrays, with three gammaln calls, combined within blocks first."""
+    n_uv, m_uv = np.array(counts.n_pairs), np.array(counts.m_edges)
+    terms = gammaln(m_uv + 1) + gammaln(n_uv - m_uv + 1) - gammaln(n_uv + 2)
+    return float((terms[0] + terms[2]) + terms[1])
+
+
+def rates_matrix_sbm(p: int, p_within: float, p_between: float, seed) -> np.ndarray:
+    """Oracle: the graph generator's adjacency built from a p x p rates
+    matrix and an outer comparison of the planted labels."""
+    rng = philox_rng(seed)
+    z_star = true_labels(p)
+    rates = np.where(np.equal.outer(z_star, z_star), p_within, p_between)
+    upper = np.triu(rng.random((p, p)) < rates, k=1)
+    return (upper | upper.T).astype(np.uint8)
 
 
 def quad_log_posterior(data: SbmData, z) -> float:
@@ -92,6 +112,26 @@ class TestCollapsedPosterior:
         assert counts.tallies.dtype == np.int64
         assert np.array_equal(counts.tallies, tallies)
         assert counts.sizes == (z.count(1), z.count(2))
+
+    @given(st.lists(st.integers(1, 2), min_size=2, max_size=60), st.integers(0, 50))
+    @settings(max_examples=80, deadline=None)
+    def test_one_gammaln_call_is_bit_equal_to_three_arrays(self, labels, seed):
+        z = tuple(labels)
+        data, _ = generate_sbm(len(z), 0.4, 0.1, seed=seed)
+        counts = BlockCounts.from_labels(data, z)
+        lp = counts.log_posterior()
+        assert type(lp) is float
+        assert lp == three_array_log_posterior(counts)
+
+    def test_block2_tallies_are_degree_less_block1(self):
+        data, _ = generate_sbm(80, 0.3, 0.05, seed=2)
+        assert data.degrees.dtype == np.int64
+        assert np.array_equal(data.degrees, data.adjacency.sum(axis=1))
+        z = tuple(int(v) for v in philox_rng(5).integers(1, 3, size=80))
+        counts = BlockCounts.from_labels(data, z)
+        assert counts.d1.dtype == np.int64 and counts.tallies.shape == (80, 2)
+        assert np.array_equal(counts.tallies[:, 0], counts.d1)
+        assert np.array_equal(counts.tallies.sum(axis=1), data.degrees)
 
     def test_empty_blocks_are_legal(self):
         data, _ = generate_sbm(5, 0.5, 0.1, seed=1)
@@ -167,6 +207,14 @@ class TestGeneration:
         se = math.sqrt(0.3 * 0.7 / n_pairs)
         assert abs(density - 0.3) <= 3 * se
 
+    @pytest.mark.parametrize("p", [5, 6, 101, 1000])
+    @pytest.mark.parametrize("rates", [(0.3, 0.02), (0.0, 1.0), (1.0, 0.0), (1, 1), (0, 0)])
+    def test_matches_rates_matrix_construction(self, p, rates):
+        data, z_star = generate_sbm(p, *rates, seed=(p, 7))
+        assert z_star == true_labels(p)
+        assert data.adjacency.dtype == np.uint8
+        assert np.array_equal(data.adjacency, rates_matrix_sbm(p, *rates, seed=(p, 7)))
+
     def test_true_labels_split(self):
         assert sum(1 for v in true_labels(7) if v == 1) == 4
         assert sum(1 for v in true_labels(10) if v == 1) == 5
@@ -177,6 +225,44 @@ class TestGeneration:
         sbm.save_sbm(data, path, seed=3, rates=(0.4, 0.1))
         loaded = sbm.load_sbm(path)
         assert np.array_equal(loaded.adjacency, data.adjacency)
+
+
+class TestInvalidGraph:
+    def test_is_a_library_error(self):
+        assert issubclass(InvalidGraph, DiscreteMHError)
+
+    def test_not_square(self):
+        with pytest.raises(InvalidGraph, match="p x p"):
+            SbmData(adjacency=np.zeros((3, 4), dtype=np.uint8), p=3)
+        with pytest.raises(InvalidGraph, match="p x p"):
+            SbmData(adjacency=np.zeros((3, 3), dtype=np.uint8), p=4)
+
+    def test_asymmetric(self):
+        adj = np.zeros((3, 3), dtype=int)
+        adj[0, 1] = 1
+        with pytest.raises(InvalidGraph, match="symmetric"):
+            SbmData.from_adjacency(adj)
+
+    def test_nonzero_diagonal(self):
+        with pytest.raises(InvalidGraph, match="zero diagonal"):
+            SbmData.from_adjacency(np.eye(3, dtype=np.uint8))
+
+    @pytest.mark.parametrize("value", [2, 256, -1, 0.5])
+    def test_entries_outside_zero_one(self, value):
+        # uint8 would keep 2 as a double edge and wrap 256 to 0
+        adj = np.zeros((3, 3), dtype=type(value))
+        adj[0, 1] = adj[1, 0] = value
+        with pytest.raises(InvalidGraph, match="0 or 1"):
+            SbmData.from_adjacency(adj)
+
+    @pytest.mark.parametrize("dtype", [bool, np.int64, np.float64, np.uint8])
+    def test_zero_one_of_any_dtype_is_kept(self, dtype):
+        adj = np.zeros((3, 3), dtype=dtype)
+        adj[0, 2] = adj[2, 0] = 1
+        data = SbmData.from_adjacency(adj)
+        assert data.adjacency.dtype == np.uint8
+        assert np.array_equal(data.adjacency, adj)
+        assert data.degrees.tolist() == [1, 0, 1]
 
 
 class TestInit:
@@ -227,3 +313,11 @@ class TestTargetStructure:
             ns, lps = target.neighbors(z), target.stats_at(z).flip_log_pis(z)
             for nb, lp in zip(ns, lps):
                 assert lp == pytest.approx(log_posterior_sbm(data, nb), abs=1e-10)
+
+    def test_flips_share_one_read_only_coordinate_array(self):
+        data, _ = generate_sbm(9, 0.6, 0.1, seed=12)
+        target = sbm_target(data)
+        a, b = target.neighbors(true_labels(9)), target.neighbors(label_switched(true_labels(9)))
+        assert a.coords is b.coords
+        assert np.array_equal(a.coords, np.arange(9)) and not a.coords.flags.writeable
+        assert sbm_target(data).neighbors(true_labels(9)).coords is not a.coords

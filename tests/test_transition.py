@@ -12,6 +12,7 @@ bit-identical to recorded digests.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 from pathlib import Path
@@ -31,7 +32,7 @@ from discretemh.samplers import (
     scan_at,
     step,
 )
-from discretemh.sbm import BlockCounts
+from discretemh.sbm import BlockCounts, generate_sbm, sbm_init, sbm_target
 from conftest import stateless_chain
 
 KERNELS = {
@@ -105,9 +106,9 @@ def test_carried_chain_equals_stateless_steps(fixture_zoo, zoo_enumerations, nam
     assert [getattr(trace, c) for c in counters] == [ref[c] for c in counters]
 
 
-@pytest.mark.parametrize("kernel", sorted(CHAIN_SPECS))
-def test_carried_block_counts_match_fresh(fixture_zoo, kernel):
-    target, spec = fixture_zoo["sbm-p7"], CHAIN_SPECS[kernel]
+def _check_carried_block_counts(target, spec):
+    """2,000 carried transitions from the seed state; the block counts the
+    chain carries equal a fresh build at the final state."""
     rng = philox_rng(8)
     x = target.seed_state
     lp, sx, n_accepted = target.log_pi(x), None, 0
@@ -120,6 +121,55 @@ def test_carried_block_counts_match_fresh(fixture_zoo, kernel):
     assert (sx.stats.sizes, sx.stats.m_edges) == (fresh.sizes, fresh.m_edges)
     assert np.array_equal(sx.stats.tallies, fresh.tallies)
     assert sx.stats.log_posterior() == target.log_pi(x)
+
+
+@pytest.mark.parametrize("kernel", sorted(CHAIN_SPECS))
+def test_carried_block_counts_match_fresh(fixture_zoo, kernel):
+    _check_carried_block_counts(fixture_zoo["sbm-p7"], CHAIN_SPECS[kernel])
+
+
+@pytest.mark.parametrize("kernel", sorted(CHAIN_SPECS))
+def test_carried_block_counts_match_fresh_p200(kernel):
+    data, _ = generate_sbm(200, 0.1, 0.02, seed=3)
+    _check_carried_block_counts(sbm_target(data), CHAIN_SPECS[kernel])
+
+
+@pytest.mark.parametrize("kernel", sorted(CHAIN_SPECS))
+def test_sbm_chain_builds_start_statistics_once(fixture_zoo, kernel):
+    # log pi at the start is read from the statistics the first scan uses
+    target, spec = fixture_zoo["sbm-p7"], CHAIN_SPECS[kernel]
+    calls = {"log_pi": 0, "stats_at": 0}
+
+    def counting(name, fn):
+        def wrapped(z):
+            calls[name] += 1
+            return fn(z)
+        return wrapped
+
+    counted = dataclasses.replace(target, log_pi=counting("log_pi", target.log_pi),
+                                  stats_at=counting("stats_at", target.stats_at))
+    start = min(target.neighbors(target.seed_state), key=target.log_pi)
+    trace = run_chain(counted, start, spec, 300, 23)
+    assert calls == {"log_pi": 0, "stats_at": 1}
+    ref = stateless_chain(target, start, spec, 300, 23)
+    assert trace.states == ref["states"]
+    assert np.array_equal(trace.log_pis, ref["log_pis"])
+    counters = ("evals", "scans", "scans_reused", "neg_inf_rejects")
+    assert [getattr(trace, c) for c in counters] == [ref[c] for c in counters]
+
+
+def test_p1000_random_walk_chain_equals_stateless_steps():
+    # the sbm-full-rw model at the benchmark's size: 40 steps from half-wrong
+    data, z_star = generate_sbm(1000, 0.1, 1e-8, seed=7)
+    target = sbm_target(data)
+    init = sbm_init("half-wrong", z_star, philox_rng(7))
+    trace = run_chain(target, init, KernelSpec(), 40, 11)
+    ref = stateless_chain(target, init, KernelSpec(), 40, 11)
+    assert trace.states == ref["states"]
+    assert np.array_equal(trace.log_pis, ref["log_pis"])
+    assert np.array_equal(trace.accepted, ref["accepted"]) and trace.accepted.any()
+    counters = ("evals", "scans", "scans_reused", "neg_inf_rejects")
+    assert [getattr(trace, c) for c in counters] == [ref[c] for c in counters]
 
 
 def _desk_unclipped():
