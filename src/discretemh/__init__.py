@@ -21,7 +21,6 @@ from .samplers import (
     ChainTrace,
     KernelSpec,
     acceptance_log_ratio,
-    clip_weight,
     hitting_experiment,
     informed_proposal_dist,
     run_chain,
@@ -55,7 +54,6 @@ __all__ = [
     "KernelSpec",
     "ChainTrace",
     "AsymmetricNeighborhood",
-    "clip_weight",
     "informed_proposal_dist",
     "acceptance_log_ratio",
     "step",

@@ -28,6 +28,7 @@ import yaml
 
 from . import __version__
 from .core import (
+    DEFAULT_ENUM_CAP,
     CapExceeded,
     DiscreteMHError,
     DiscreteTarget,
@@ -91,8 +92,8 @@ _SCHEMA = {
     },
     "output": {"directory": "out", "formats": ["csv", "json"]},
     "certify": {
-        "epsilon": 0.25, "s_threshold": "auto", "q": None, "x0": "all", "enum_cap": 4096,
-        "eta": None, "t_max": 200,
+        "epsilon": 0.25, "s_threshold": "auto", "q": None, "x0": "all",
+        "enum_cap": DEFAULT_ENUM_CAP, "eta": None, "t_max": 200,
     },
 }
 
@@ -236,7 +237,8 @@ def resolve_config(raw: dict, seed=None, workers=None, out=None) -> Resolved:
     output = _with_defaults(raw.get("output") or {}, _SCHEMA["output"])
     out_dir = Path(out) if out is not None else Path(output["directory"])
     certify = _with_defaults(raw.get("certify") or {}, _SCHEMA["certify"])
-    _check_certify_numbers(certify)
+    _check_numbers(certify, run)
+    certify["x0"] = _check_x0(certify["x0"])
     return Resolved(raw=raw, model=model, spec=spec, run=run, out_dir=out_dir,
                     formats=list(output["formats"]), certify=certify)
 
@@ -254,7 +256,12 @@ def _as_float(value) -> float:
         return math.nan
 
 
-def _check_certify_numbers(certify: dict) -> None:
+# Integer keys, per section, with the least value each may take.
+_INTEGER_MINIMA = {"certify": {"enum_cap": 1, "t_max": 1},
+                   "run": {"n_runs": 1, "workers": 1, "budget": 0, "seed": 0}}
+
+
+def _check_numbers(certify: dict, run: dict) -> None:
     for key, (words, lo, hi) in _CERTIFY_RANGES.items():
         value = certify[key]
         if value in words:
@@ -268,10 +275,27 @@ def _check_certify_numbers(certify: dict) -> None:
         if isinstance(eta, bool) or not 0.0 < _as_float(eta) <= 1.0:
             raise ConfigError(f"certify.eta must be null or lie in (0, 1], got {eta!r}")
         certify["eta"] = float(eta)
-    for key in ("enum_cap", "t_max"):
-        value = certify[key]
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ConfigError(f"certify.{key} must be an integer >= 1, got {value!r}")
+    sections = {"certify": certify, "run": run}
+    for section, minima in _INTEGER_MINIMA.items():
+        for key, least in minima.items():
+            value = sections[section][key]
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise ConfigError(
+                    f"{section}.{key} must be an integer >= {least}, got {value!r}")
+
+
+def _check_x0(value):
+    """``certify.x0`` parsed: None for the whole space, ``("top-mass",
+    fraction)`` with the fraction in (0, 1], or ``("smax", k)`` with k >= 0."""
+    if value is None or value == "all":
+        return None
+    kind, _, arg = value.partition(":") if isinstance(value, str) else ("", "", "")
+    if kind == "top-mass" and 0 < _as_float(arg) <= 1:
+        return kind, float(arg)
+    if kind == "smax" and arg.strip().isdigit():
+        return kind, int(arg)
+    raise ConfigError("certify.x0 must be all, top-mass:<fraction in (0, 1]> or "
+                      f"smax:<integer >= 0>, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +365,7 @@ class SbmFactory:
 def _fixed_data_seed(cfg: Resolved) -> np.random.SeedSequence:
     """Seed of the one dataset behind ``run.fresh_data: false`` and behind
     certify and diagnose."""
-    return np.random.SeedSequence([int(cfg.run["seed"]), 0xDA7A])
+    return np.random.SeedSequence([cfg.run["seed"], 0xDA7A])
 
 
 def make_factory(cfg: Resolved):
@@ -542,10 +566,10 @@ def cmd_experiment(cfg: Resolved) -> int:
     summary = hitting_experiment(
         make_factory(cfg),
         cfg.spec,
-        n_runs=int(run["n_runs"]),
-        budget=int(run["budget"]),
-        master_seed=int(run["seed"]),
-        workers=int(run["workers"]),
+        n_runs=run["n_runs"],
+        budget=run["budget"],
+        master_seed=run["seed"],
+        workers=run["workers"],
         stop_early=bool(run["stop_early"]) and not run["save_trajectories"],
     )
     out = cfg.out_dir
@@ -620,28 +644,23 @@ def cmd_experiment(cfg: Resolved) -> int:
 # certify / diagnose
 
 
-def _parse_x0(spec_str: str, states: Space) -> list | None:
-    if spec_str in (None, "all"):
+def _select_x0(x0, states: Space) -> list | None:
+    """The states of a restriction parsed by ``_check_x0``; None for all."""
+    if x0 is None:
         return None
-    if spec_str.startswith("top-mass:"):
-        frac = float(spec_str.split(":", 1)[1])
-        if not 0 < frac <= 1:
-            raise ConfigError("top-mass fraction must lie in (0, 1]")
-        lps = states.log_pis
-        order = np.argsort(-lps)
-        mass = np.exp(lps - np.logaddexp.reduce(lps))
-        total = 0.0
-        chosen = []
-        for i in order:
-            chosen.append(states[i])
-            total += mass[i]
-            if total >= frac:
-                break
-        return chosen
-    if spec_str.startswith("smax:"):
-        k = int(spec_str.split(":", 1)[1])
-        return [s for s in states if sum(s) <= k]
-    raise ConfigError(f"cannot parse x0 spec {spec_str!r}")
+    kind, arg = x0
+    if kind == "smax":
+        return [s for s in states if sum(s) <= arg]
+    lps = states.log_pis
+    mass = np.exp(lps - np.logaddexp.reduce(lps))
+    total = 0.0
+    chosen = []
+    for i in np.argsort(-lps):
+        chosen.append(states[i])
+        total += mass[i]
+        if total >= arg:
+            break
+    return chosen
 
 
 def _auto_s(spec: KernelSpec, stats) -> float:
@@ -687,7 +706,7 @@ def cmd_certify(cfg: Resolved, method: str) -> int:
     report = timed("eigensolve", spectral_gap, chain)
     pi_min = float(chain.pi.min())
 
-    x0 = _parse_x0(cert["x0"], states)
+    x0 = _select_x0(cert["x0"], states)
     restricted_ctx = None
     eta = cert["eta"]
     if x0 is not None:
@@ -802,7 +821,7 @@ def cmd_diagnose(cfg: Resolved) -> int:
     stats = timed("stats", unimodality_stats, target, states)
     chain = timed("build", build_transition_matrix, target, cfg.spec, states)
     report = timed("eigensolve", spectral_gap, chain)
-    x0 = _parse_x0(cert["x0"], states)
+    x0 = _select_x0(cert["x0"], states)
     if x0 is not None:
         report.restricted_gap = timed("eigensolve", restricted_gap, chain, x0)
     report.theorem_bounds = theorem_bounds(

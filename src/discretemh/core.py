@@ -431,29 +431,3 @@ def distances_to_state(
     space = tabulate(target, states)
     dist = _bfs(space, space.pos[origin], np.ones(len(space), dtype=bool))
     return {space[i]: d for i, d in dist.items()}
-
-
-def check_neighborhood_axioms(
-    target: DiscreteTarget, states: Sequence[State]
-) -> None:
-    """Verify irreflexivity and symmetry of the neighborhood relation on an
-    enumeration, raising ``AssertionError`` with the offending states."""
-    state_set = set(states)
-    for x in states:
-        ns = list(target.neighbors(x))
-        assert x not in ns, f"neighborhood of {x!r} contains itself"
-        assert len(ns) == len(set(ns)), f"duplicate neighbors at {x!r}"
-        for y in ns:
-            if y in state_set:
-                assert x in target.neighbors(y), f"asymmetric pair {x!r} -> {y!r}"
-
-
-def space_summary(target: DiscreteTarget, states: Sequence[State]) -> dict:
-    """JSON-ready summary of an enumeration: states, log_pi and stats."""
-    stats = unimodality_stats(target, states)
-    return {
-        "states": [list(s) if isinstance(s, tuple) else s for s in states],
-        "log_pi": [target.log_pi(s) for s in states],
-        **stats.to_json_dict(),
-    }
-

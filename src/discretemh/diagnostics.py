@@ -443,19 +443,20 @@ def theorem_bounds(
         out["rw_relaxation"] = BoundResult(True, c * m)
         out["rw_mixing"] = BoundResult(True, c * m * log_inv_err)
 
-    # clipped informed chain with ell = M and M^2 < L <= R
-    def informed_hypothesis() -> str | None:
+    # clipped informed chain with ell = M and M^2 < L <= R (R read from log_r)
+    def informed_hypothesis(log_r: float, r_name: str = "R") -> str | None:
         if spec.family != INFORMED:
             return "kernel is not informed"
         if not math.isclose(spec.ell, m, rel_tol=1e-12):
             return f"needs ell = M = {m}, got ell = {spec.ell:g}"
         if not spec.big_l > m**2:
             return f"needs L > M^2 = {m**2}, got L = {spec.big_l:g}"
-        if not math.log(spec.big_l) <= stats.log_r + 1e-12:
-            return f"needs L <= R, got log L = {math.log(spec.big_l):.4g} > log R = {stats.log_r:.4g}"
+        if not math.log(spec.big_l) <= log_r + 1e-12:
+            return (f"needs L <= {r_name}, got log L = {math.log(spec.big_l):.4g}"
+                    f" > log {r_name} = {log_r:.4g}")
         return None
 
-    fail = informed_hypothesis()
+    fail = informed_hypothesis(stats.log_r)
     if fail is None:
         rho_t = spec.big_l / m**2
         c_t = c_of_rho(rho_t)
@@ -483,35 +484,22 @@ def theorem_bounds(
     mass_needed = 1.0 - epsilon**2 * eta**2 / 5.0
     log_warm = math.log(1.0 / (2.0 * epsilon**2 * eta**2))
     rstats = restricted.stats
-    rho0 = rstats.rho
+    low_mass = None
+    if restricted.mass < mass_needed:
+        low_mass = f"mass {restricted.mass:.6g} below 1 - eps^2 eta^2/5 = {mass_needed:.6g}"
 
     if spec.family != RANDOM_WALK:
         out["warm_rw_mixing"] = _na("kernel is not random-walk")
-    elif rho0 <= 1:
-        out["warm_rw_mixing"] = _na(f"needs restricted rho > 1, got {rho0:.4g}")
-    elif restricted.mass < mass_needed:
-        out["warm_rw_mixing"] = _na(
-            f"mass {restricted.mass:.6g} below 1 - eps^2 eta^2/5 = {mass_needed:.6g}"
-        )
+    elif rstats.rho <= 1:
+        out["warm_rw_mixing"] = _na(f"needs restricted rho > 1, got {rstats.rho:.4g}")
+    elif low_mass:
+        out["warm_rw_mixing"] = _na(low_mass)
     else:
-        out["warm_rw_mixing"] = BoundResult(True, c_of_rho(rho0) * m * log_warm)
+        out["warm_rw_mixing"] = BoundResult(True, c_of_rho(rstats.rho) * m * log_warm)
 
-    def warm_informed_hypothesis() -> str | None:
-        if spec.family != INFORMED:
-            return "kernel is not informed"
-        if not math.isclose(spec.ell, m, rel_tol=1e-12):
-            return f"needs ell = M = {m}, got ell = {spec.ell:g}"
-        if not spec.big_l > m**2:
-            return f"needs L > M^2 = {m**2}, got L = {spec.big_l:g}"
-        if not math.log(spec.big_l) <= rstats.log_r + 1e-12:
-            return "needs L <= restricted R"
-        if restricted.mass < mass_needed:
-            return f"mass {restricted.mass:.6g} below {mass_needed:.6g}"
-        if not restricted.boundary_log_ratio < math.log(spec.big_l) - log_m:
-            return "boundary ratio reaches L / M"
-        return None
-
-    fail = warm_informed_hypothesis()
+    fail = informed_hypothesis(rstats.log_r, "restricted R") or low_mass
+    if fail is None and not restricted.boundary_log_ratio < math.log(spec.big_l) - log_m:
+        fail = "boundary ratio reaches L / M"
     if fail is None:
         out["warm_informed_mixing"] = BoundResult(
             True, 2 * c_of_rho(spec.big_l / m**2) * log_warm
@@ -531,19 +519,3 @@ def boundary_log_ratio(
     nbr = space.nbr[rows]
     rim = np.where((nbr >= 0) & ~inside[nbr], space.log_pis[nbr], -np.inf)
     return float((rim - space.log_pis[rows, None]).max(initial=-math.inf))
-
-
-def warm_start_mass_threshold(epsilon: float, b: float, m: float = math.inf) -> float:
-    """Required restriction mass for a warm start with density bound ``b``
-    in the L^m norm; the default m = inf is the point-mass case."""
-    if b < 1:
-        raise ValueError("b must be at least 1")
-    base = epsilon**2 / (5.0 * b**2)
-    power = 1.0 if math.isinf(m) else 1.0 + 2.0 / (m - 2.0)
-    return 1.0 - base**power
-
-
-def warm_start_mixing_bound(gap_x0: float, epsilon: float, b: float) -> float:
-    if gap_x0 <= 0:
-        raise ValueError("gap must be positive")
-    return math.log(b**2 / (2.0 * epsilon**2)) / gap_x0

@@ -72,16 +72,10 @@ class KernelSpec:
         return base + (" lazy" if self.lazy else "")
 
 
-def clip_weight(u: float, ell: float, big_l: float) -> float:
-    """Weight function: ``u`` clamped to ``[ell, L]``."""
-    if not ell < big_l:
-        raise InvalidClip(f"need ell < L, got ell={ell}, L={big_l}")
-    return min(max(u, ell), big_l)
-
-
 def log_clip_weight(log_u, ell: float, big_l: float):
-    """Log-domain clip: works on scalars or arrays of log ratios.  With
-    nothing to clip (``ell = 0``, ``L = inf``) ``log_u`` itself is returned."""
+    """The informed weight function in the log domain: ``log_u`` clamped to
+    ``[log ell, log L]``, on scalars or arrays of log ratios.  With nothing
+    to clip (``ell = 0``, ``L = inf``) ``log_u`` itself is returned."""
     if not ell < big_l:
         raise InvalidClip(f"need ell < L, got ell={ell}, L={big_l}")
     if ell == 0 and big_l == math.inf:

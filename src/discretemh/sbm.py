@@ -11,7 +11,6 @@ flips at once for informed proposals.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -114,7 +113,30 @@ class BlockCounts:
         return (t11 + t22) + t12
 
     def flip(self, z, j: int) -> "BlockCounts":
-        return flip_update(self, z, j)
+        """Counts after node ``j`` switches blocks, given pre-flip labels ``z``.
+
+        The pair and edge counts move by the node's tallies in O(1); the
+        block-1 tallies move by the node's adjacency row, one vectorized add.
+        """
+        data = self.data
+        m11, m12, m22 = self.m_edges
+        c1 = self.sizes[0]
+        d1 = int(self.d1[j])
+        d2 = int(data.degrees[j]) - d1
+        if z[j] == 1:
+            c1 -= 1
+            m11, m12, m22 = m11 - d1, m12 + d1 - d2, m22 + d2
+            d1_after = self.d1 - data.adjacency[j]
+        else:
+            c1 += 1
+            m11, m12, m22 = m11 + d1, m12 - d1 + d2, m22 - d2
+            d1_after = self.d1 + data.adjacency[j]
+        return BlockCounts(
+            data=data,
+            sizes=(c1, data.p - c1),
+            m_edges=(m11, m12, m22),
+            d1=d1_after,
+        )
 
     def flip_log_pis(self, z) -> np.ndarray:
         """Log posteriors of all p single-flip neighbors of ``z``, from the
@@ -145,33 +167,6 @@ class BlockCounts:
 def log_posterior_sbm(data: SbmData, z) -> float:
     """Collapsed log posterior of a label assignment (flat label prior)."""
     return BlockCounts.from_labels(data, z).log_posterior()
-
-
-def flip_update(counts: BlockCounts, z, j: int) -> BlockCounts:
-    """Counts after node ``j`` switches blocks, given pre-flip labels ``z``.
-
-    The pair and edge counts move by the node's tallies in O(1); the block-1
-    tallies move by the node's adjacency row, one vectorized add.
-    """
-    data = counts.data
-    m11, m12, m22 = counts.m_edges
-    c1 = counts.sizes[0]
-    d1 = int(counts.d1[j])
-    d2 = int(data.degrees[j]) - d1
-    if z[j] == 1:
-        c1 -= 1
-        m11, m12, m22 = m11 - d1, m12 + d1 - d2, m22 + d2
-        d1_after = counts.d1 - data.adjacency[j]
-    else:
-        c1 += 1
-        m11, m12, m22 = m11 + d1, m12 - d1 + d2, m22 - d2
-        d1_after = counts.d1 + data.adjacency[j]
-    return BlockCounts(
-        data=data,
-        sizes=(c1, data.p - c1),
-        m_edges=(m11, m12, m22),
-        d1=d1_after,
-    )
 
 
 def sbm_target(data: SbmData, name: str = "") -> DiscreteTarget:
@@ -249,28 +244,3 @@ def sbm_init(kind: str, z_star, rng: np.random.Generator) -> tuple:
     else:
         raise InvalidInit(f"unknown init scheme {kind!r}")
     return corrupt_labels(z_star, k, rng)
-
-
-def save_sbm(data: SbmData, path, seed=None, rates: tuple | None = None) -> None:
-    """Edge-list CSV with a JSON header line."""
-    header = {"p": data.p, "seed": seed, "rates": list(rates) if rates else None}
-    rows = np.argwhere(np.triu(data.adjacency, k=1))
-    with open(path, "w") as fh:
-        fh.write("# " + json.dumps(header) + "\n")
-        fh.write("i,j\n")
-        for i, j in rows:
-            fh.write(f"{i},{j}\n")
-
-
-def load_sbm(path) -> SbmData:
-    with open(path) as fh:
-        header = json.loads(fh.readline().lstrip("# "))
-        fh.readline()
-        p = header["p"]
-        adjacency = np.zeros((p, p), dtype=np.uint8)
-        for line in fh:
-            if not line.strip():
-                continue
-            i, j = map(int, line.split(","))
-            adjacency[i, j] = adjacency[j, i] = 1
-    return SbmData(adjacency=adjacency, p=p)

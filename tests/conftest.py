@@ -7,7 +7,8 @@ import math
 
 import pytest
 
-from discretemh import sbm, toy, varsel
+import toy
+from discretemh import sbm, varsel
 from discretemh.core import enumerate_space
 from discretemh.core import philox_rng
 from discretemh.samplers import scan_at, step
@@ -70,6 +71,19 @@ def fixture_zoo(example3_v_n1, example3_v2_n1, example3_v2_ads):
 @pytest.fixture(scope="session")
 def zoo_enumerations(fixture_zoo):
     return {name: enumerate_space(t, 4096) for name, t in fixture_zoo.items()}
+
+
+def check_neighborhood_axioms(target, states) -> None:
+    """Verify irreflexivity and symmetry of the neighborhood relation on an
+    enumeration, raising ``AssertionError`` with the offending states."""
+    state_set = set(states)
+    for x in states:
+        ns = list(target.neighbors(x))
+        assert x not in ns, f"neighborhood of {x!r} contains itself"
+        assert len(ns) == len(set(ns)), f"duplicate neighbors at {x!r}"
+        for y in ns:
+            if y in state_set:
+                assert x in target.neighbors(y), f"asymmetric pair {x!r} -> {y!r}"
 
 
 def stateless_chain(target, start, spec, n_steps, seed) -> dict:

@@ -17,7 +17,8 @@ import time
 import numpy as np
 import pytest
 
-from discretemh import sbm, toy, varsel
+import toy
+from discretemh import sbm, varsel
 from discretemh.cli import (
     SbmFactory,
     VarselFactory,
@@ -26,7 +27,6 @@ from discretemh.cli import (
     golden_example5,
 )
 from discretemh.core import (
-    check_neighborhood_axioms,
     distances_to_state,
     enumerate_space,
     exact_tail_mass,
@@ -49,10 +49,11 @@ from discretemh.samplers import (
     hitting_experiment,
     step,
 )
-from discretemh.varsel import ModelState, VarSelHyper, log_posterior, update_model
+from discretemh.varsel import VarSelHyper, log_posterior
 
 import flow_oracle
-from conftest import N_WORKERS
+from conftest import N_WORKERS, check_neighborhood_axioms
+from varsel_oracle import ModelState, update_model
 
 RW = KernelSpec()
 RW_LAZY = KernelSpec(lazy=True)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ from discretemh.cli import (
     resolve_scale,
 )
 from discretemh.samplers import run_chain
-from discretemh.varsel import EXAMPLE3_G, EXAMPLE3_KAPPA, example3_fixture_path
+from discretemh.varsel import EXAMPLE3_G, EXAMPLE3_KAPPA
 from conftest import N_WORKERS, stateless_chain
 
 TEMPLATES = Path(__file__).resolve().parents[1] / "src" / "discretemh" / "templates"
@@ -100,6 +101,29 @@ class TestConfig:
         cfg = resolve_config(raw, seed=123, workers=3, out=str(tmp_path / "o"))
         assert cfg.run["seed"] == 123 and cfg.run["workers"] == 3
 
+    @pytest.mark.parametrize("key, value, least", [
+        ("n_runs", 0, 1), ("n_runs", 1.5, 1), ("workers", 0, 1),
+        ("budget", -1, 0), ("seed", -1, 0),
+    ])
+    def test_bad_run_integer_is_a_config_error(self, tmp_path, capsys, key, value, least):
+        raw = {**SMALL_VARSEL, "run": {**SMALL_VARSEL["run"], key: value}}
+        path = write_cfg(tmp_path, raw)
+        out = tmp_path / "o"
+        assert main(["experiment", "--config", str(path), "--out", str(out)]) == 2
+        assert (f"config error: run.{key} must be an integer >= {least}, got {value!r}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, key, least", [("--seed", "seed", 0),
+                                                  ("--workers", "workers", 1)])
+    def test_bad_run_override_is_a_config_error(self, tmp_path, capsys, flag, key, least):
+        path = write_cfg(tmp_path, SMALL_VARSEL)
+        out = tmp_path / "o"
+        argv = ["experiment", "--config", str(path), "--out", str(out), flag, str(least - 1)]
+        assert main(argv) == 2
+        assert f"config error: run.{key} must be an integer >= {least}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestGolden:
     def test_example4_and_5_all_pass(self):
@@ -130,7 +154,8 @@ class TestGolden:
     def test_example3_erratum_proof(self):
         # proves the erratum from the checked-in fixture's inner products by
         # hand, without the model code that golden_example3 exercises
-        payload = json.loads(example3_fixture_path().read_text())
+        fixture = resources.files("discretemh") / "data" / "example3.json"
+        payload = json.loads(fixture.read_text())
         assert payload["p"] == 3
         gram = [Fraction(v) for v in payload["gram"]]
         xty = [Fraction(v) for v in payload["xty"]]
@@ -397,6 +422,34 @@ class TestCertify:
         assert main([*command, "--config", str(path), "--out", str(out)]) == 2
         assert f"config error: certify.{key} must be {message}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("x0", ["top-mass:abc", "smax:two", [1, 2]])
+    @pytest.mark.parametrize("command", [["certify", "--method", "flow"], ["diagnose"]])
+    def test_malformed_x0_is_a_config_error(self, tmp_path, capsys, command, x0):
+        raw = {
+            "model": {"kind": "example3", "space": "v2", "neighborhood": "ads"},
+            "kernel": {"family": "random-walk"},
+            "certify": {"x0": x0},
+        }
+        path = write_cfg(tmp_path, raw)
+        out = tmp_path / "o"
+        assert main([*command, "--config", str(path), "--out", str(out)]) == 2
+        assert "config error: certify.x0 must be all, top-mass:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("x0, parsed", [
+        ("all", None), (None, None), ("top-mass:0.99", ("top-mass", 0.99)),
+        ("top-mass:1", ("top-mass", 1.0)), ("smax:0", ("smax", 0)), ("smax:2", ("smax", 2)),
+    ])
+    def test_x0_is_parsed_at_resolve_time(self, x0, parsed):
+        raw = {"model": {"kind": "example3"}, "certify": {"x0": x0}}
+        assert resolve_config(raw).certify["x0"] == parsed
+
+    @pytest.mark.parametrize("x0", ["top-mass:0", "top-mass:1.5", "top-mass:nan", "smax:-1",
+                                    "smax:", "hull:2", 3])
+    def test_out_of_range_x0_is_rejected_at_resolve_time(self, x0):
+        with pytest.raises(ConfigError, match="certify.x0 must be"):
+            resolve_config({"model": {"kind": "example3"}, "certify": {"x0": x0}})
 
     def test_drift_at_the_enum_cap(self, tmp_path, capsys):
         # 2^12 = 4,096 models, the default cap, tabulated by the batched n1 space

@@ -4,19 +4,19 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from discretemh import sbm, toy, varsel
+import toy
+from discretemh import sbm, varsel
+from conftest import check_neighborhood_axioms
 from discretemh.core import (
     BoundInapplicable,
     CapExceeded,
     DegenerateSpace,
     DisconnectedRestriction,
-    check_neighborhood_axioms,
     distances_to_state,
     enumerate_space,
     exact_tail_mass,
     logsumexp as core_logsumexp,
     restricted_stats,
-    space_summary,
     tail_mass_bound,
     unimodality_stats,
 )
@@ -180,15 +180,6 @@ def test_mode_mass_lower_bound(fixture_zoo, zoo_enumerations):
         pi_star = float(np.exp(lps.max() - logsumexp(lps)))
         assert pi_star >= 1.0 - 1.0 / stats.rho - 1e-12, name
     assert seen >= 4
-
-
-def test_space_summary_serializable(example3_v2_n1):
-    import json
-
-    states = enumerate_space(example3_v2_n1, 100)
-    payload = space_summary(example3_v2_n1, states)
-    text = json.dumps(payload)
-    assert '"M"' in text and len(payload["states"]) == 7
 
 
 def test_infinite_seed_state_rejected():

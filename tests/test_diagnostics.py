@@ -5,10 +5,12 @@ import pytest
 from scipy import sparse
 
 import dense_oracle
-from discretemh import toy, varsel
+import toy
+from discretemh import varsel
 from discretemh.core import (
     DegenerateSpace,
     DiscreteTarget,
+    NeighborhoodStats,
     enumerate_space,
     tabulate,
     unimodality_stats,
@@ -18,6 +20,7 @@ from discretemh.diagnostics import (
     DenseChain,
     NotIrreducible,
     NotReversible,
+    RestrictedContext,
     build_transition_matrix,
     c_of_rho,
     expected_hitting_time,
@@ -26,8 +29,6 @@ from discretemh.diagnostics import (
     tau_x,
     theorem_bounds,
     tv_curve,
-    warm_start_mass_threshold,
-    warm_start_mixing_bound,
 )
 from discretemh.samplers import KernelSpec
 
@@ -259,12 +260,29 @@ class TestTheoremBounds:
         out = theorem_bounds(stats, too_big_l, pi_min=1e-6, epsilon=0.25)
         assert not out["informed_relaxation"].applicable
 
-    def test_warm_start_helpers(self):
-        assert warm_start_mass_threshold(0.25, 1.0) == pytest.approx(1 - 0.0625 / 5)
-        # finite norm index strengthens the requirement
-        assert warm_start_mass_threshold(0.25, 1.0, m=4.0) > warm_start_mass_threshold(
-            0.25, 1.0
-        ) - 1e-12
-        assert warm_start_mixing_bound(0.5, 0.25, 2.0) == pytest.approx(
-            math.log(4.0 / 0.125) / 0.5
-        )
+    def test_warm_start_bounds(self):
+        # M = 3 over the space; the restriction has R = 30, so rho_0 = 10
+        stats = NeighborhoodStats(m=3, log_r=math.log(40.0), x_star=0, n_states=12)
+        rstats = NeighborhoodStats(m=3, log_r=math.log(30.0), x_star=0, n_states=6)
+        epsilon, eta = 0.25, 0.5
+        mass_needed = 1.0 - epsilon**2 * eta**2 / 5.0
+        log_warm = math.log(1.0 / (2.0 * epsilon**2 * eta**2))
+        informed = KernelSpec("informed", ell=3.0, big_l=20.0)  # M^2 < L <= R_0
+
+        def bounds(spec, mass):
+            ctx = RestrictedContext(stats=rstats, mass=mass, boundary_log_ratio=-1.0)
+            return theorem_bounds(stats, spec, pi_min=1e-6, epsilon=epsilon, eta=eta,
+                                  restricted=ctx)
+
+        rw = bounds(RW, mass_needed)["warm_rw_mixing"]
+        assert rw.applicable
+        assert rw.value == pytest.approx(c_of_rho(10.0) * 3 * log_warm, rel=1e-12)
+        inf = bounds(informed, mass_needed)["warm_informed_mixing"]
+        assert inf.applicable
+        assert inf.value == pytest.approx(2 * c_of_rho(20.0 / 9.0) * log_warm, rel=1e-12)
+
+        below = math.nextafter(mass_needed, 0.0)
+        for spec, key in ((RW, "warm_rw_mixing"), (informed, "warm_informed_mixing")):
+            bound = bounds(spec, below)[key]
+            assert not bound.applicable and bound.value is None
+            assert bound.reason.startswith(f"mass {below:.6g} below 1 - eps^2 eta^2/5 = ")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from discretemh import toy
+import toy
 from discretemh.core import (
     BoundInapplicable,
     DegenerateSpace,

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from discretemh import toy, varsel
+import toy
+from discretemh import varsel
 from discretemh.core import DiscreteTarget, IsolatedState, enumerate_space, philox_rng
 from discretemh.diagnostics import build_transition_matrix, expected_hitting_time
 from discretemh.samplers import (
@@ -13,7 +14,6 @@ from discretemh.samplers import (
     InvalidClip,
     KernelSpec,
     acceptance_log_ratio,
-    clip_weight,
     hitting_experiment,
     informed_proposal_dist,
     log_clip_weight,
@@ -25,13 +25,13 @@ from conftest import N_WORKERS
 
 class TestClipWeight:
     def test_reference_values(self):
-        assert clip_weight(math.exp(90.46), 3.0, 9.0) == 9.0
-        assert clip_weight(3.0, 3.0, 9.0) == 3.0
-        assert clip_weight(math.exp(-2.76), 3.0, 9.0) == 3.0
+        assert log_clip_weight(90.46, 3.0, 9.0) == math.log(9.0)
+        assert log_clip_weight(math.log(3.0), 3.0, 9.0) == math.log(3.0)
+        assert log_clip_weight(-2.76, 3.0, 9.0) == math.log(3.0)
 
     def test_invalid(self):
         with pytest.raises(InvalidClip):
-            clip_weight(1.0, 9.0, 3.0)
+            log_clip_weight(0.0, 9.0, 3.0)
         with pytest.raises(InvalidClip):
             KernelSpec("informed", ell=5.0, big_l=5.0)
 
@@ -43,14 +43,12 @@ class TestClipWeight:
     @settings(max_examples=200, deadline=None)
     def test_clip_properties(self, u, ell, ratio):
         big_l = ell * ratio
-        h = clip_weight(u, ell, big_l)
-        assert ell <= h <= big_l
+        log_h = float(log_clip_weight(math.log(u), ell, big_l))
+        assert math.log(ell) <= log_h <= math.log(big_l)
         if ell <= u <= big_l:
-            assert h == u
-        # log-domain version agrees
-        assert math.isclose(
-            math.log(h), float(log_clip_weight(math.log(u), ell, big_l)), rel_tol=1e-12
-        )
+            assert log_h == math.log(u)
+        # the log of u clamped to [ell, L]
+        assert math.isclose(log_h, math.log(min(max(u, ell), big_l)), rel_tol=1e-12)
 
     def test_unclipped_sentinel(self):
         assert float(log_clip_weight(-5.0, 0.0, math.inf)) == -5.0

@@ -21,7 +21,7 @@ from scipy import sparse
 
 import dense_oracle
 import flow_oracle
-from discretemh import toy
+import toy
 from discretemh.cli import main
 from discretemh.core import BoundInapplicable, unimodality_stats
 from discretemh.diagnostics import (

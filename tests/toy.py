@@ -13,7 +13,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from .core import DiscreteTarget
+from discretemh.core import DiscreteTarget
 
 
 def table_target(log_pis: dict, edges: list[tuple], name: str = "table") -> DiscreteTarget:
