@@ -238,7 +238,7 @@ def resolve_config(raw: dict, seed=None, workers=None, out=None) -> Resolved:
     out_dir = Path(out) if out is not None else Path(output["directory"])
     certify = _with_defaults(raw.get("certify") or {}, _SCHEMA["certify"])
     _check_numbers(certify, run)
-    certify["x0"] = _check_x0(certify["x0"])
+    certify["x0"] = _check_x0(certify["x0"], kind)
     return Resolved(raw=raw, model=model, spec=spec, run=run, out_dir=out_dir,
                     formats=list(output["formats"]), certify=certify)
 
@@ -284,15 +284,19 @@ def _check_numbers(certify: dict, run: dict) -> None:
                     f"{section}.{key} must be an integer >= {least}, got {value!r}")
 
 
-def _check_x0(value):
+def _check_x0(value, model_kind: str):
     """``certify.x0`` parsed: None for the whole space, ``("top-mass",
-    fraction)`` with the fraction in (0, 1], or ``("smax", k)`` with k >= 0."""
+    fraction)`` with the fraction in (0, 1], or ``("smax", k)`` with k >= 0,
+    which counts selected variables and so has no meaning for SBM labels."""
     if value is None or value == "all":
         return None
     kind, _, arg = value.partition(":") if isinstance(value, str) else ("", "", "")
     if kind == "top-mass" and 0 < _as_float(arg) <= 1:
         return kind, float(arg)
     if kind == "smax" and arg.strip().isdigit():
+        if model_kind == "sbm":
+            raise ConfigError(f"certify.x0 {value!r} counts selected variables; an sbm "
+                              "model takes all or top-mass:<fraction>")
         return kind, int(arg)
     raise ConfigError("certify.x0 must be all, top-mass:<fraction in (0, 1]> or "
                       f"smax:<integer >= 0>, got {value!r}")

@@ -242,20 +242,27 @@ def logsumexp(a, axis=None):
     a = np.asarray(a, dtype=float)
     if a.size == 0:
         return np.full(np.sum(a, axis=axis).shape, -np.inf)[()]
-    # one axis reduces to scalars; more keep the reduced axes to broadcast
-    red = {} if a.ndim <= 1 else {
-        "axis": tuple(range(a.ndim)) if axis is None else axis, "keepdims": True}
+    if a.ndim <= 1:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            a_max = a.max()
+            top = a == a_max
+            m = np.count_nonzero(top)
+            # a zero sum has m >= 1, so dividing it leaves it zero, as scipy's
+            # where(s == 0, s, s / m) does
+            s = np.exp(np.where(top, -np.inf, a) - a_max).sum() / m
+            out = np.log1p(s) + np.log(m) + a_max
+            return out if np.isfinite(out) else np.log(np.exp(a).sum())
+    # more axes: the same steps, keeping the reduced axes to broadcast
+    red = {"axis": tuple(range(a.ndim)) if axis is None else axis, "keepdims": True}
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a_max = a.max(**red)
         top = a == a_max
         m = np.count_nonzero(top, **red)
-        # a zero sum has m >= 1, so dividing it leaves it zero, as scipy's
-        # where(s == 0, s, s / m) does
         s = np.exp(np.where(top, -np.inf, a) - a_max).sum(**red) / m
         out = np.log1p(s) + np.log(m) + a_max
         if not np.isfinite(out).all():
             out = np.where(np.isfinite(out), out, np.log(np.exp(a).sum(**red)))
-    return (out if a.ndim <= 1 else np.squeeze(out, axis=red["axis"]))[()]
+    return np.squeeze(out, axis=red["axis"])[()]
 
 
 def philox_rng(seed) -> np.random.Generator:

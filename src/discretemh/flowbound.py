@@ -58,7 +58,7 @@ class FlowGraph:
 
 def build_flow_graph(chain: DenseChain, s_threshold: float, x0=None) -> FlowGraph:
     """Uphill flow graph at ratio threshold ``S`` (> 1), on the states
-    ``x0`` or on the whole space.
+    ``x0`` or on the whole space; S <= 1 raises :class:`BoundInapplicable`.
 
     Every live state except the top one must have an uphill neighbor whose
     probability is at least S times its own (that is, S <= R); otherwise
@@ -68,7 +68,7 @@ def build_flow_graph(chain: DenseChain, s_threshold: float, x0=None) -> FlowGrap
     from scipy import sparse
 
     if not s_threshold > 1.0:
-        raise ValueError("S must exceed 1")
+        raise BoundInapplicable(f"flow threshold S = {s_threshold:g} must exceed 1")
     log_s = math.log(s_threshold)
     restricted = x0 is not None
     live = [chain.index[s] for s in x0] if restricted else range(chain.n)

@@ -82,7 +82,7 @@ def log_clip_weight(log_u, ell: float, big_l: float):
         return log_u
     lo = math.log(ell) if ell > 0 else -math.inf
     hi = math.log(big_l) if math.isfinite(big_l) else math.inf
-    return np.clip(log_u, lo, hi)
+    return np.minimum(np.maximum(log_u, lo), hi)
 
 
 @dataclass

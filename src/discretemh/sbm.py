@@ -90,7 +90,7 @@ class BlockCounts:
 
     @staticmethod
     def from_labels(data: SbmData, z) -> "BlockCounts":
-        in1 = np.asarray(z) == 1
+        in1 = np.frombuffer(bytes(z), np.uint8) == 1  # one byte per label
         d1 = (data.adjacency_f32 @ in1.astype(np.float32)).astype(np.int64)
         c1 = int(in1.sum())
         into1 = int(d1[in1].sum())  # edge ends inside block 1, each edge twice
@@ -146,7 +146,7 @@ class BlockCounts:
         m11, m12, m22 = self.m_edges
         d1 = self.d1
         d2 = self.data.degrees - d1
-        to2 = np.array(z) == 1  # nodes currently in block 1
+        to2 = np.frombuffer(bytes(z), np.uint8) == 1  # nodes currently in block 1
         c1_new = np.where(to2, c1 - 1, c1 + 1)
         c2_new = p - c1_new
         m11_new = np.where(to2, m11 - d1, m11 + d1)

@@ -14,6 +14,9 @@ The solves call LAPACK's ``trtrs`` and ``potrs`` directly, with the
 arguments scipy's ``solve_triangular`` and ``cho_solve`` pass, so they
 give the wrappers' bits without their checks: ``VarSelData`` checks the
 statistics finite once, and a nonzero ``info`` raises ``LapackError``.
+Every path takes ``log1p`` of ``g (1 - R^2)`` with ``np.log1p``, which gives
+a scalar the bits of the same element of an array, so the size batches
+match ``log_posterior`` bit for bit.
 """
 
 from __future__ import annotations
@@ -68,14 +71,15 @@ def _lapack(name: str, x: np.ndarray, info: int) -> np.ndarray:
 
 def _solve_lower(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``chol^-1 b`` for a C-ordered lower factor, as ``solve_triangular(chol,
-    b, lower=True)`` computes it: as the transposed upper system."""
-    return _lapack("trtrs", *_TRTRS(chol.T, b, lower=0, trans=1))
+    b, lower=True)`` computes it: as the transposed upper system.  ``b`` is
+    a temporary of the caller's, which LAPACK may overwrite."""
+    return _lapack("trtrs", *_TRTRS(chol.T, b, lower=0, trans=1, overwrite_b=1))
 
 
 def _chol_inverse(chol: np.ndarray) -> np.ndarray:
     """``(chol chol')^-1`` from a lower factor, as ``cho_solve((chol, True),
     eye)`` computes it."""
-    return _lapack("potrs", *_POTRS(chol, np.eye(len(chol)), lower=1))
+    return _lapack("potrs", *_POTRS(chol, np.eye(len(chol)), lower=1, overwrite_b=1))
 
 
 @dataclass(frozen=True)
@@ -126,9 +130,8 @@ class VarSelHyper:
 def _fresh_chol(data: VarSelData, active: list[int]) -> np.ndarray | None:
     if not active:
         return None
-    sub = data.gram[np.ix_(active, active)]
     try:
-        chol = np.linalg.cholesky(sub)
+        chol = np.linalg.cholesky(data.gram[active][:, active])
     except np.linalg.LinAlgError as exc:
         raise SingularModel(str(exc)) from exc
     if float(chol.diagonal().min() ** 2) <= data.pivot_tol:
@@ -154,20 +157,17 @@ def r_squared(data: VarSelData, delta) -> float:
 def _log_post_from_r2(data: VarSelData, hyper: VarSelHyper, size, r2):
     """Log posterior from model size and R^2, for scalars or arrays alike.
 
-    Arrays take the same operations in the same order, and ``math.log1p``
-    element by element (``np.log1p`` differs from it in the last bits), so
-    a vectorized scan gives exactly the values of one-at-a-time evaluation.
+    Arrays take the same operations in the same order as scalars, and
+    ``np.log1p`` gives a scalar the bits of the same element of an array,
+    so a vectorized scan gives exactly the values of one-at-a-time
+    evaluation.  A scalar comes back as a Python float.
     """
-    u = hyper.g * (1.0 - r2)
-    if isinstance(u, float):
-        log1p_u = math.log1p(u)
-    else:
-        log1p_u = np.fromiter(map(math.log1p, u.tolist()), float, len(u))
-    return (
+    out = (
         -hyper.kappa * size * math.log(data.p)
         - 0.5 * size * math.log1p(hyper.g)
-        - 0.5 * data.n * log1p_u
+        - 0.5 * data.n * np.log1p(hyper.g * (1.0 - r2))
     )
+    return out if np.ndim(out) else float(out)
 
 
 def log_posterior(data: VarSelData, hyper: VarSelHyper, delta) -> float:
@@ -220,13 +220,13 @@ def _log_posts_of_size(data: VarSelData, hyper: VarSelHyper, active: np.ndarray)
     return out
 
 
-def _flip_coords(delta, s_max: int | None, hard: bool) -> np.ndarray:
-    """Flippable coordinates of a model: all of them, or with ``hard`` only
-    those whose flip stays within the cap ``s_max``."""
-    size = sum(delta)
+def _flip_coords(delta, size: int, s_max: int | None, hard: bool) -> np.ndarray:
+    """Flippable coordinates of a model of ``size`` variables (a 0/1 tuple
+    or a bool mask): all of them, or with ``hard`` only those whose flip
+    stays within the cap ``s_max``."""
     if not hard or s_max is None or size + 1 <= s_max:
         return np.arange(len(delta))
-    return np.flatnonzero(np.where(np.array(delta, dtype=bool), size - 1, size + 1) <= s_max)
+    return np.flatnonzero(np.where(np.asarray(delta, dtype=bool), size - 1, size + 1) <= s_max)
 
 
 def neighbors(delta, scheme: str = "n1", s_max: int | None = None, hard: bool = False):
@@ -239,7 +239,7 @@ def neighbors(delta, scheme: str = "n1", s_max: int | None = None, hard: bool = 
     """
     if scheme not in ("n1", "ads"):
         raise ValueError(f"unknown neighborhood scheme {scheme!r}")
-    flips = Flips(delta, _flip_coords(delta, s_max, hard), 1)
+    flips = Flips(delta, _flip_coords(delta, sum(delta), s_max, hard), 1)
     if scheme == "n1":
         return flips
     p = len(delta)
@@ -256,17 +256,21 @@ def neighbors(delta, scheme: str = "n1", s_max: int | None = None, hard: bool = 
     return out
 
 
-def _n1_scan(data: VarSelData, hyper: VarSelHyper, cap: int | None, hard: bool):
-    """Vectorized log posteriors of all single-flip neighbors of a model."""
+def _n1_scan(data: VarSelData, hyper: VarSelHyper, cap: int, hard: bool):
+    """Vectorized log posteriors of all single-flip neighbors of a model.
+
+    ``cap`` is the largest model size with mass: ``s_max`` or fewer, and at
+    most n.  Flips past it get -inf without being solved for."""
     gram, xty, yty = data.gram, data.xty, data.yty
     gram_diag = np.diag(gram).copy()
     tol = data.pivot_tol
 
     def scan(delta):
-        ns = neighbors(delta, "n1", s_max=cap, hard=hard)
-        d = np.array(delta, dtype=bool)
+        # bytes() reads each 0/1 entry (int, bool or np.int64) as one byte
+        d = np.frombuffer(bytes(delta), np.uint8) != 0
         active = np.flatnonzero(d).tolist()
         size = len(active)
+        ns = Flips(delta, _flip_coords(d, size, cap, hard), 1)
         try:
             chol = _fresh_chol(data, active)
         except SingularModel:
@@ -277,32 +281,27 @@ def _n1_scan(data: VarSelData, hyper: VarSelHyper, cap: int | None, hard: bool):
             explained = float(z @ z)
         else:
             explained = 0.0
-        expl = np.full(data.p, -np.inf)
-        inactive = np.flatnonzero(~d)
-        if len(inactive):
+        lps = np.full(data.p, -np.inf)  # by coordinate
+        if size < cap and size < data.p:  # adding a variable keeps mass
+            inactive = np.flatnonzero(~d)
             if size:
-                w = _solve_lower(chol, gram[active][:, inactive])
+                w = _solve_lower(chol, gram[active].take(inactive, axis=1))
                 d2 = gram_diag[inactive] - np.einsum("ij,ij->j", w, w)
                 num = xty[inactive] - w.T @ z
             else:
                 d2 = gram_diag[inactive]
                 num = xty[inactive]
             ok = d2 > tol
-            gain = np.divide(num**2, d2, out=np.zeros_like(d2), where=ok)
-            expl[inactive] = np.where(ok, explained + gain, -np.inf)
-        if size:
+            if not ok.all():
+                inactive, num, d2 = inactive[ok], num[ok], d2[ok]
+            r2 = np.minimum(np.maximum((explained + num**2 / d2) / yty, 0.0), 1.0)
+            lps[inactive] = _log_post_from_r2(data, hyper, size + 1, r2)
+        if size and size <= cap + 1:  # dropping a variable keeps mass
             inv = _chol_inverse(chol)
             beta = inv @ xty[active]
-            expl[active] = explained - beta**2 / inv.diagonal()
-
-        s_max = data.p if hyper.s_max is None else hyper.s_max
-        expl = expl[ns.coords]
-        new_size = np.where(d[ns.coords], size - 1, size + 1)
-        ok = (expl != -np.inf) & (new_size <= s_max) & (new_size <= data.n)
-        lps = np.full(len(ns), -np.inf)
-        r2 = np.minimum(np.maximum(expl[ok] / yty, 0.0), 1.0)
-        lps[ok] = _log_post_from_r2(data, hyper, new_size[ok], r2)
-        return ns, lps
+            r2 = np.minimum(np.maximum((explained - beta**2 / inv.diagonal()) / yty, 0.0), 1.0)
+            lps[active] = _log_post_from_r2(data, hyper, size - 1, r2)
+        return ns, lps if len(ns) == data.p else lps[ns.coords]
 
     return scan
 

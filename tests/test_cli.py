@@ -377,6 +377,38 @@ class TestCertify:
         assert payload["checks"][-1]["ok"] is False
         assert "congestion" not in payload
 
+    def test_auto_threshold_at_most_one_is_a_failed_check(self, tmp_path, capsys):
+        # a random walk's auto S is the unimodality ratio R, which is below 1
+        # on the capped single-flip space (its second local mode)
+        raw = {
+            "model": {"kind": "example3", "space": "v2", "neighborhood": "n1"},
+            "kernel": {"family": "random-walk"},
+            "certify": {"s_threshold": "auto"},
+        }
+        path = write_cfg(tmp_path, raw)
+        out = tmp_path / "o"
+        assert main(["certify", "--config", str(path), "--method", "flow", "--out", str(out)]) == 1
+        assert "[FAIL] flow certificate: flow threshold S = " in capsys.readouterr().out
+        payload = json.loads((out / "certificate.json").read_text())
+        assert payload["checks"][-1]["name"] == "flow certificate"
+        assert payload["checks"][-1]["ok"] is False
+        assert payload["stats"]["R"] <= 1 and "congestion" not in payload
+
+    @pytest.mark.parametrize("method", ["flow", "restricted-flow"])
+    def test_smax_x0_on_sbm_is_a_config_error(self, tmp_path, capsys, method):
+        raw = {
+            "model": {"kind": "sbm", "p": 6, "p_within": 0.6, "p_between": 0.1},
+            "kernel": {"family": "random-walk"},
+            "certify": {"x0": "smax:8"},
+        }
+        path = write_cfg(tmp_path, raw)
+        out = tmp_path / "o"
+        assert main(["certify", "--config", str(path), "--method", method, "--out", str(out)]) == 2
+        assert "config error: certify.x0 'smax:8' counts selected variables" in capsys.readouterr().err
+        assert not out.exists()
+        raw["certify"]["x0"] = "top-mass:0.5"
+        assert resolve_config(raw).certify["x0"] == ("top-mass", 0.5)
+
     @pytest.mark.parametrize("key, value", [("q", 2), ("s_threshold", 0.5), ("epsilon", 0)])
     def test_out_of_range_number_is_a_config_error(self, tmp_path, capsys, key, value):
         raw = {

@@ -55,6 +55,12 @@ class TestFlowGraph:
         with pytest.raises(HypothesisViolated):
             build_flow_graph(chain, math.exp(2.0))
 
+    @pytest.mark.parametrize("s_threshold", [1.0, 0.5, math.nan])
+    def test_threshold_at_most_one_is_inapplicable(self, s_threshold):
+        chain = lazy_chain(toy.path_target([1.0, 1.5]))
+        with pytest.raises(BoundInapplicable, match="must exceed 1"):
+            build_flow_graph(chain, s_threshold)
+
     def test_one_live_state_is_degenerate(self, example3_v2_ads):
         chain = lazy_chain(example3_v2_ads)
         with pytest.raises(DegenerateSpace):

@@ -90,6 +90,25 @@ class TestPosterior:
             r_squared(data, (1, 1, 0))
         assert log_posterior(data, hyper, (1, 1, 0)) == -math.inf
 
+    @given(r2=st.lists(st.floats(0.0, 1.0), max_size=20), seed=st.integers(0, 2**32 - 1),
+           g=st.sampled_from([1.0, 27.0, 1.25e8]))
+    @settings(max_examples=100, deadline=None)
+    def test_scalar_log_post_is_the_array_element(self, r2, seed, g):
+        # drawn R^2 values plus 100 uniform ones (drawn floats cluster on a
+        # few values, and np.log1p differs from math.log1p on about 1 in 50)
+        rng = philox_rng(seed)
+        r2 = np.concatenate([r2, rng.random(100)])
+        sizes = rng.integers(0, 31, len(r2))
+        data = VarSelData(gram=np.eye(500), xty=np.zeros(500), yty=1.0, n=200, p=500)
+        hyper = VarSelHyper(g=g, kappa=1.0)
+        by_array = varsel._log_post_from_r2(data, hyper, sizes, r2)
+        by_size = {s: varsel._log_post_from_r2(data, hyper, s, r2) for s in range(31)}
+        for at, (size, r2_at) in enumerate(zip(sizes.tolist(), r2.tolist())):
+            # an element of the array at any offset, with array or scalar sizes
+            scalar = varsel._log_post_from_r2(data, hyper, size, r2_at)
+            assert type(scalar) is float
+            assert scalar == by_array[at] == by_size[size][at]
+
     @given(size_a=st.integers(0, 6), size_b=st.integers(0, 6))
     @settings(max_examples=50, deadline=None)
     def test_penalty_monotone_at_fixed_fit(self, size_a, size_b):
@@ -203,6 +222,17 @@ class TestScanDifferential:
         # column 7 duplicates column 3, so adding it to a model that holds 3 has no mass
         ns, lps = target.neighbor_log_pis(self._states(data.p)["holds column 3"])
         assert lps[ns.position(7)] == -math.inf
+
+    @pytest.mark.parametrize("hard", [True, False])
+    def test_scan_reads_int_bool_and_numpy_entries_alike(self, dataset, hard):
+        hyper = VarSelHyper(g=float(dataset.p) ** 3, kappa=1.0, s_max=self.S_MAX)
+        scan = varsel.varsel_target(dataset, hyper, hard_space=hard).neighbor_log_pis
+        for name, delta in self._states(dataset.p).items():
+            ns, lps = scan(delta)
+            for same in (tuple(map(np.int64, delta)), tuple(map(bool, delta))):
+                ns_same, lps_same = scan(same)
+                assert np.array_equal(ns_same.coords, ns.coords), name
+                assert np.array_equal(lps_same, lps), name
 
     def test_lapack_info_is_a_library_error(self):
         with pytest.raises(varsel.LapackError, match="trtrs returned info=2"):
