@@ -607,7 +607,7 @@ def cmd_experiment(cfg: Resolved) -> int:
             fh.write(_meta_line(cfg))
             fh.write(
                 "index,hit,hit_iteration,steps,elapsed_s,elapsed_to_hit_s,"
-                "evals,scans,scans_reused,neg_inf_rejects\n"
+                "evals,scans,scans_reused,neg_inf_rejects,bound_rejects\n"
             )
             for i, t in enumerate(summary.runs):
                 fh.write(
@@ -615,7 +615,8 @@ def cmd_experiment(cfg: Resolved) -> int:
                     f"{'' if t.hit_iteration is None else t.hit_iteration},"
                     f"{len(t.accepted)},{t.elapsed:.6f},"
                     f"{'' if t.elapsed_to_hit is None else f'{t.elapsed_to_hit:.6f}'},"
-                    f"{t.evals},{t.scans},{t.scans_reused},{t.neg_inf_rejects}\n"
+                    f"{t.evals},{t.scans},{t.scans_reused},{t.neg_inf_rejects},"
+                    f"{t.bound_rejects}\n"
                 )
     if "json" in cfg.formats:
         (out / "summary.json").write_text(json.dumps({

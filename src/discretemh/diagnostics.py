@@ -65,7 +65,8 @@ def _check_dense(n: int) -> None:
 
 class DenseChain:
     """A chain on a tabulated space: its transition matrix ``P`` (a scipy
-    CSR array), its stationary law and its cached extreme eigenvalues.
+    CSR array), its stationary law, and its cached extreme eigenvalues and
+    detailed-balance error.
 
     ``states`` and ``index`` (state to position) are the space's own.
     """
@@ -76,6 +77,7 @@ class DenseChain:
         self.pi = np.exp(self.log_pis - logsumexp(self.log_pis))
         self.max_degree = int(space.deg.max())
         self._eig: np.ndarray | None = None
+        self._balance_err: float | None = None
 
     @property
     def n(self) -> int:
@@ -98,11 +100,14 @@ class DenseChain:
 
     def detailed_balance_error(self) -> float:
         """Largest relative gap between pi(x) P(x, y) and pi(y) P(y, x) over
-        the stored entries."""
-        i, j = self.P.nonzero()
-        flow, back = self.pi[i] * self.P[i, j], self.pi[j] * self.P[j, i]
-        denom = np.maximum(np.maximum(flow, back), 1e-300)
-        return float((np.abs(flow - back) / denom).max(initial=0.0))
+        the stored entries; computed once, for ``validate`` and
+        ``eigensystem`` alike."""
+        if self._balance_err is None:
+            i, j = self.P.nonzero()
+            flow, back = self.pi[i] * self.P[i, j], self.pi[j] * self.P[j, i]
+            denom = np.maximum(np.maximum(flow, back), 1e-300)
+            self._balance_err = float((np.abs(flow - back) / denom).max(initial=0.0))
+        return self._balance_err
 
     def eigensystem(self) -> np.ndarray:
         """Ascending (lambda_min, lambda_2, lambda_1) of the pi-symmetrized

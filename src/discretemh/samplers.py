@@ -158,19 +158,24 @@ def log_mh_ratio(lp_x, lp_y, log_k_fwd, log_k_rev):
     return lp_y - lp_x + log_k_rev - log_k_fwd
 
 
+def _reverse_index(sx: Scan, j: int, y: State, ny: Sequence) -> int:
+    """Position of x = ``sx.state`` among the neighbors ``ny`` of its j-th
+    neighbor y; :class:`AsymmetricNeighborhood` if x is not among them."""
+    try:
+        if isinstance(sx.neighbors, Flips) and isinstance(ny, Flips):
+            return ny.position(int(sx.neighbors.coords[j]))
+        return ny.index(sx.state)
+    except ValueError:
+        raise AsymmetricNeighborhood(
+            f"{y!r} is a neighbor of {sx.state!r}, but not the other way round"
+        ) from None
+
+
 def log_acceptance(sx: Scan, sy: Scan, j: int) -> float:
     """log of pi(y) K(y, x) / (pi(x) K(x, y)) for the move from x =
     ``sx.state`` to its j-th neighbor y, given the scan ``sy`` at y.  The
     informed ratio takes pi(y) from the forward scan, as the step does."""
-    try:
-        if isinstance(sx.neighbors, Flips) and isinstance(sy.neighbors, Flips):
-            i = sy.neighbors.position(int(sx.neighbors.coords[j]))
-        else:
-            i = sy.neighbors.index(sx.state)
-    except ValueError:
-        raise AsymmetricNeighborhood(
-            f"{sy.state!r} is a neighbor of {sx.state!r}, but not the other way round"
-        ) from None
+    i = _reverse_index(sx, j, sy.state, sy.neighbors)
     lp_y = sy.log_pi if sx.log_pis is None else sx.log_pis[j]
     return float(log_mh_ratio(sx.log_pi, lp_y, sx.log_k(j), sy.log_k(i)))
 
@@ -227,6 +232,11 @@ def acceptance_log_ratio(
 
 @dataclass
 class StepMeta:
+    """One transition's record.  ``bounded`` marks an informed proposal
+    rejected on the bound log pi(y) - log pi(x) - log K(x, y), which takes
+    K(y, x) as 1 and so needs no scan at y; ``log_alpha`` then holds that
+    bound, which is at least the exact log acceptance ratio and below 0."""
+
     proposal: State | None
     accepted: bool
     lazy_stay: bool
@@ -235,6 +245,7 @@ class StepMeta:
     next_log_pi: float
     n_scans: int = 0
     n_reused: int = 0
+    bounded: bool = False
 
 
 def _sample_index(rng: np.random.Generator, cdf: np.ndarray) -> int:
@@ -257,7 +268,17 @@ def _transition(
     state: the scan at y when y is accepted, the scan at x otherwise.
 
     A move the scan at x remembers (see :class:`Scan`) is not worked out
-    again unless it is accepted, which needs the scan at y."""
+    again unless it is accepted, which needs the scan at y.
+
+    An informed move is first tested against the bound that K(y, x) <= 1
+    gives: log alpha <= log pi(y) - log pi(x) - log K(x, y).  When the bound
+    is below 0, so is the finite exact ratio, and the acceptance uniform is
+    drawn at once; a uniform at or above the bound rejects the move without
+    the scan at y, just as the exact ratio would.  Every ``log_q`` is at most
+    0 in floating point too (``logsumexp`` is never below the largest term),
+    so the computed bound is never below the computed ratio.  Such a
+    rejection still checks that y lists x, and is not remembered: a repeat
+    tests the bound again."""
     if spec.lazy and rng.random() < 0.5:
         return x, StepMeta(None, False, True, 0.0, 0, x_log_pi), sx
     n_evals = n_scans = n_reused = 0
@@ -272,7 +293,17 @@ def _transition(
         j = _sample_index(rng, sx.cdf)
     y = sx.neighbors[j]
     remembered = sx.moves.get(j)
+    log_u = None
     if remembered is None:
+        if sx.log_pis is not None and sx.log_pis[j] > -math.inf:
+            bound = float(log_mh_ratio(x_log_pi, sx.log_pis[j], sx.log_k(j), 0.0))
+            if bound < 0:
+                log_u = math.log(rng.random())
+                if log_u >= bound:
+                    _reverse_index(sx, j, y, target.neighbors(y))
+                    meta = StepMeta(y, False, False, bound, n_evals, x_log_pi, n_scans,
+                                    n_reused, bounded=True)
+                    return x, meta, sx
         lp_y, sy, log_alpha, n = _move(target, sx, j, y, spec)
         n_evals += n
         n_scans += sy is not None
@@ -281,8 +312,12 @@ def _transition(
 
     if log_alpha >= 0:
         accepted = True
+    elif log_alpha == -math.inf:
+        accepted = False
     else:
-        accepted = math.log(rng.random()) < log_alpha if log_alpha > -math.inf else False
+        if log_u is None:
+            log_u = math.log(rng.random())
+        accepted = log_u < log_alpha
     if accepted:
         if sy is None:
             _, sy, _, n = _move(target, sx, j, y, spec)
@@ -323,9 +358,11 @@ class ChainTrace:
     scans a step needed but did not compute: the forward scan carried from
     the step before, and the reverse scan of a move that was proposed again
     during the same stay and rejected again.
-    ``neg_inf_rejects`` counts proposals rejected for zero probability, which
-    need no reverse scan, so over the ``moves`` non-lazy steps ``scans +
-    scans_reused == 2 * moves - neg_inf_rejects``."""
+    ``neg_inf_rejects`` counts proposals rejected for zero probability, and
+    ``bound_rejects`` informed proposals rejected on the bound that needs no
+    reverse scan (see :class:`StepMeta`).  Neither kind needs one, so over
+    the ``moves`` non-lazy steps ``scans + scans_reused + bound_rejects ==
+    2 * moves - neg_inf_rejects``."""
 
     seed: object
     spec: KernelSpec
@@ -337,6 +374,7 @@ class ChainTrace:
     scans: int
     scans_reused: int
     neg_inf_rejects: int
+    bound_rejects: int
     hit_iteration: int | None
     elapsed: float
     elapsed_to_hit: float | None
@@ -361,7 +399,9 @@ def run_chain(
     but it reuses work: one scan serves as the reverse scan of a move and
     as the forward scan of the next step, and while the chain stays at a
     state, a move proposed again is read from that scan's memory of
-    rejected moves instead of being worked out again.
+    rejected moves instead of being worked out again.  Like ``step``, it
+    rejects an informed proposal on the bound of :func:`_transition` when
+    it can, without the scan at the proposed state.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
@@ -385,7 +425,7 @@ def run_chain(
     log_pis = [lp]
     accepted = np.zeros(n_steps, dtype=bool)
     lazy_stays = np.zeros(n_steps, dtype=bool)
-    evals = scans = reused = neg_inf = 0
+    evals = scans = reused = neg_inf = bounded = 0
     hit = 0 if (stop_set is not None and x in stop_set) else None
     t0 = time.perf_counter()
     t_hit = 0.0 if hit is not None else None
@@ -404,6 +444,7 @@ def run_chain(
         evals += meta.n_evals
         scans += meta.n_scans
         neg_inf += meta.log_alpha == -math.inf
+        bounded += meta.bounded
         n_done = i + 1
         if meta.accepted and hit is None and stop_set is not None and x in stop_set:
             hit = i + 1
@@ -420,6 +461,7 @@ def run_chain(
         scans=scans,
         scans_reused=reused,
         neg_inf_rejects=neg_inf,
+        bound_rejects=bounded,
         hit_iteration=hit,
         elapsed=elapsed,
         elapsed_to_hit=t_hit,

@@ -146,9 +146,20 @@ def _explained(data: VarSelData, chol: np.ndarray | None, active: list[int]) -> 
     return float(z @ z)
 
 
+def _active(delta) -> list[int]:
+    """Active coordinates of a 0/1 model: a tuple or an integer array."""
+    if isinstance(delta, np.ndarray):
+        return np.flatnonzero(delta).tolist()
+    # bytes() reads each 0/1 entry (int, bool or np.int64) as one byte
+    return np.flatnonzero(np.frombuffer(bytes(delta), np.uint8)).tolist()
+
+
 def r_squared(data: VarSelData, delta) -> float:
     """Coefficient of determination of the submodel selected by ``delta``."""
-    active = [j for j in range(data.p) if delta[j]]
+    return _r_squared(data, _active(delta))
+
+
+def _r_squared(data: VarSelData, active: list[int]) -> float:
     chol = _fresh_chol(data, active)
     r2 = _explained(data, chol, active) / data.yty
     return float(min(max(r2, 0.0), 1.0))
@@ -176,13 +187,14 @@ def log_posterior(data: VarSelData, hyper: VarSelHyper, delta) -> float:
     Zero-probability states (sparsity cap exceeded, more variables than
     observations, or a numerically singular Gram block) return -inf.
     """
-    size = int(sum(delta))
+    active = _active(delta)
+    size = len(active)
     if hyper.s_max is not None and size > hyper.s_max:
         return -math.inf
     if size > data.n:
         return -math.inf
     try:
-        r2 = r_squared(data, delta)
+        r2 = _r_squared(data, active)
     except SingularModel:
         return -math.inf
     return _log_post_from_r2(data, hyper, size, r2)

@@ -93,11 +93,13 @@ def stateless_chain(target, start, spec, n_steps, seed) -> dict:
     the current state is computed once, at the first move, and carried from
     then on.  A move proposed again while the chain stays put is not worked
     out again unless it is accepted: then its log pi and the scan at its
-    target are, and a rejected repeat counts one reused scan."""
+    target are, and a rejected repeat counts one reused scan.  A move
+    rejected on the bound needs no reverse scan and is not remembered."""
     rng = philox_rng(seed)
     x, lp = start, target.log_pi(start)
     out = {"states": [x], "log_pis": [lp], "proposals": [], "accepted": [], "lazy_stays": [],
-           "evals": 0, "scans": 0, "scans_reused": 0, "neg_inf_rejects": 0}
+           "evals": 0, "scans": 0, "scans_reused": 0, "neg_inf_rejects": 0,
+           "bound_rejects": 0}
     fwd_evals, rejected, carried = {}, set(), False
     for _ in range(n_steps):
         y, meta = step(target, x, spec, rng, x_log_pi=lp)
@@ -116,12 +118,14 @@ def stateless_chain(target, start, spec, n_steps, seed) -> dict:
             out["neg_inf_rejects"] += meta.log_alpha == -math.inf
             if meta.proposal in rejected and not meta.accepted:
                 out["scans_reused"] += meta.log_alpha > -math.inf
+            elif meta.bounded:
+                out["bound_rejects"] += 1
             else:
                 out["evals"] += meta.n_evals - fwd_evals[x]
                 out["scans"] += meta.n_scans - 1
             if meta.accepted:
                 rejected = set()
-            else:
+            elif not meta.bounded:
                 rejected.add(meta.proposal)
         x, lp = y, meta.next_log_pi
         out["states"].append(x)

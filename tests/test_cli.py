@@ -215,14 +215,14 @@ class TestExperiment:
         lines = (out / "runs.csv").read_text().splitlines()
         assert lines[1] == (
             "index,hit,hit_iteration,steps,elapsed_s,elapsed_to_hit_s,"
-            "evals,scans,scans_reused,neg_inf_rejects"
+            "evals,scans,scans_reused,neg_inf_rejects,bound_rejects"
         )
         rows = [dict(zip(lines[1].split(","), ln.split(","))) for ln in lines[2:]]
         assert len(rows) == 3
         # random walk: one log_pi and one scan per move, but a move proposed
         # again while the chain stays put costs neither unless it is accepted
         factory = make_factory(resolved)
-        counters = ("evals", "scans", "scans_reused", "neg_inf_rejects")
+        counters = ("evals", "scans", "scans_reused", "neg_inf_rejects", "bound_rejects")
         for i, (row, child) in enumerate(zip(rows, np.random.SeedSequence(3).spawn(3))):
             assert float(row["elapsed_s"]) > 0
             assert int(row["steps"]) == 40
@@ -245,7 +245,8 @@ class TestExperiment:
         for row in rows:
             steps, scans = int(row["steps"]), int(row["scans"])
             assert steps == 1500
-            assert scans + int(row["scans_reused"]) == 2 * steps - int(row["neg_inf_rejects"])
+            assert (scans + int(row["scans_reused"]) + int(row["bound_rejects"])
+                    == 2 * steps - int(row["neg_inf_rejects"]))
             assert scans < steps / 10
 
     def test_sbm_without_init_starts_third_wrong(self, tmp_path, capsys):

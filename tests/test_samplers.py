@@ -135,6 +135,17 @@ class TestAsymmetricNeighborhood:
         with pytest.raises(AsymmetricNeighborhood):
             build_transition_matrix(self.TARGET, spec)
 
+    def test_bound_rejected_proposal(self):
+        # 0 lists 2 but 2 lists only 1.  The clipped kernel proposes 2 from 0
+        # half the time, and pi(2) / pi(0) = e^-50 rejects it on the bound,
+        # without the scan at 2 that would find the asymmetry
+        nb = {0: [1, 2], 1: [0, 2], 2: [1]}
+        target = DiscreteTarget(log_pi={0: 0.0, 1: -1.0, 2: -50.0}.__getitem__,
+                                neighbors=nb.__getitem__, seed_state=0)
+        spec = KernelSpec("informed", ell=0.5, big_l=4.0)
+        with pytest.raises(AsymmetricNeighborhood, match=r"2 is a neighbor of 0"):
+            run_chain(target, 0, spec, 200, seed=1)
+
     def test_forward_move_must_be_a_neighbor(self):
         with pytest.raises(ValueError, match="not a neighbor"):
             acceptance_log_ratio(self.TARGET, 0, 2, KernelSpec())

@@ -6,8 +6,10 @@ probability times the acceptance probability of that move, the step
 reports the same log acceptance ratio for the proposal it drew, a chain
 that carries its scan and model statistics from step to step, and
 remembers the moves it rejected while it stays put, makes the same moves
-as repeated stateless steps, and chain traces at a fixed seed stay
-bit-identical to recorded digests.
+as repeated stateless steps.  Both make the moves of an exact-path oracle
+that scans every fresh proposal's target, so rejecting on the bound that
+needs no reverse scan changes no decision.  Chain traces at a fixed seed
+stay bit-identical to recorded digests.
 """
 
 from __future__ import annotations
@@ -28,11 +30,13 @@ from discretemh.samplers import (
     _transition,
     acceptance_log_ratio,
     informed_proposal_dist,
+    log_mh_ratio,
     run_chain,
     scan_at,
     step,
 )
 from discretemh.sbm import BlockCounts, generate_sbm, sbm_init, sbm_target
+from chain_oracle import exact_chain
 from conftest import stateless_chain
 
 KERNELS = {
@@ -83,7 +87,11 @@ def test_step_log_alpha_is_acceptance_log_ratio(fixture_zoo, zoo_enumerations, n
     for x in zoo_enumerations[name]:
         for _ in range(3):
             _, meta = step(target, x, spec, rng)
-            assert meta.log_alpha == acceptance_log_ratio(target, x, meta.proposal, spec)
+            exact = acceptance_log_ratio(target, x, meta.proposal, spec)
+            if meta.bounded:
+                assert exact <= meta.log_alpha < 0
+            else:
+                assert meta.log_alpha == exact
 
 
 CHAIN_SPECS = {**KERNELS, "clipped-lazy": KernelSpec("informed", ell=2.0, big_l=50.0, lazy=True)}
@@ -101,9 +109,70 @@ def test_carried_chain_equals_stateless_steps(fixture_zoo, zoo_enumerations, nam
     assert np.array_equal(trace.accepted, ref["accepted"])
     assert np.array_equal(trace.lazy_stays, ref["lazy_stays"])
     moves = 400 - int(trace.lazy_stays.sum())
-    assert trace.scans + trace.scans_reused == moves + (moves - trace.neg_inf_rejects)
-    counters = ("evals", "scans", "scans_reused", "neg_inf_rejects")
+    assert (trace.scans + trace.scans_reused + trace.bound_rejects
+            == moves + (moves - trace.neg_inf_rejects))
+    counters = ("evals", "scans", "scans_reused", "neg_inf_rejects", "bound_rejects")
     assert [getattr(trace, c) for c in counters] == [ref[c] for c in counters]
+
+
+@pytest.mark.parametrize("kernel", ["clipped", "unclipped"])
+@pytest.mark.parametrize("name", ZOO_NAMES)
+def test_reverse_free_bound_is_above_exact_ratio(fixture_zoo, zoo_enumerations, name, kernel):
+    # log K(y, x) <= 0 holds in floating point, so dropping it from the ratio
+    # gives a bound on the computed log alpha of every move
+    target, spec = fixture_zoo[name], KERNELS[kernel]
+    for x in zoo_enumerations[name]:
+        lp_x = target.log_pi(x)
+        sx = scan_at(target, x, lp_x, spec)
+        assert np.all(sx.log_q <= 0)
+        for j, y in enumerate(sx.neighbors):
+            if sx.log_pis[j] == -math.inf:
+                continue
+            bound = log_mh_ratio(lp_x, sx.log_pis[j], sx.log_k(j), 0.0)
+            assert bound >= acceptance_log_ratio(target, x, y, spec)
+
+
+def _assert_exact_path(target, start, spec, n_steps, seed):
+    """``run_chain`` and stateless ``step`` calls make the moves of the
+    exact-path oracle, which scans every fresh proposal's target."""
+    ref = exact_chain(target, start, spec, n_steps, seed)
+    trace = run_chain(target, start, spec, n_steps, seed)
+    stateless = stateless_chain(target, start, spec, n_steps, seed)
+    for got in (trace.states, stateless["states"]):
+        assert got == ref["states"]
+    for got in (trace.log_pis, stateless["log_pis"]):
+        assert np.array_equal(got, ref["log_pis"])
+    for flag in ("accepted", "lazy_stays"):
+        assert np.array_equal(getattr(trace, flag), ref[flag])
+        assert stateless[flag] == ref[flag]
+    return trace
+
+
+@pytest.mark.parametrize("kernel", sorted(CHAIN_SPECS))
+@pytest.mark.parametrize("name", ZOO_NAMES)
+def test_chain_matches_exact_path(fixture_zoo, zoo_enumerations, name, kernel):
+    target, spec = fixture_zoo[name], CHAIN_SPECS[kernel]
+    by_mass = sorted(zoo_enumerations[name], key=target.log_pi)
+    for start in (by_mass[0], by_mass[len(by_mass) // 2], by_mass[-1]):
+        for seed in (3, 41):
+            _assert_exact_path(target, start, spec, 200, seed)
+
+
+@pytest.mark.parametrize("template", [
+    "varsel-full-imh", "varsel-desk-imh", "varsel-full-highcorr-good", "sbm-desk-imh",
+    "varsel-desk-imh-unclipped",
+])
+def test_template_chain_matches_exact_path(template):
+    n_bounded = 0
+    for index in range(3):
+        target, init, spec, seed = _template_replicate(template, index)
+        trace = _assert_exact_path(target, init, spec, 300, seed)
+        moves = 300 - int(trace.lazy_stays.sum())
+        assert (trace.scans + trace.scans_reused + trace.bound_rejects
+                == 2 * moves - trace.neg_inf_rejects)
+        n_bounded += trace.bound_rejects
+    if spec.clipped:  # these chains reject most proposals on the bound
+        assert n_bounded > 0
 
 
 def _check_carried_block_counts(target, spec):
@@ -154,7 +223,7 @@ def test_sbm_chain_builds_start_statistics_once(fixture_zoo, kernel):
     ref = stateless_chain(target, start, spec, 300, 23)
     assert trace.states == ref["states"]
     assert np.array_equal(trace.log_pis, ref["log_pis"])
-    counters = ("evals", "scans", "scans_reused", "neg_inf_rejects")
+    counters = ("evals", "scans", "scans_reused", "neg_inf_rejects", "bound_rejects")
     assert [getattr(trace, c) for c in counters] == [ref[c] for c in counters]
 
 
@@ -168,18 +237,23 @@ def test_p1000_random_walk_chain_equals_stateless_steps():
     assert trace.states == ref["states"]
     assert np.array_equal(trace.log_pis, ref["log_pis"])
     assert np.array_equal(trace.accepted, ref["accepted"]) and trace.accepted.any()
-    counters = ("evals", "scans", "scans_reused", "neg_inf_rejects")
+    counters = ("evals", "scans", "scans_reused", "neg_inf_rejects", "bound_rejects")
     assert [getattr(trace, c) for c in counters] == [ref[c] for c in counters]
 
 
-def _desk_unclipped():
-    """The first replicate of ``varsel-desk-imh-unclipped.yaml`` at seed 7
-    (p=30): its target, start, kernel and chain seed."""
+def _template_replicate(name, index=0):
+    """Replicate ``index`` of the packaged template ``name`` at seed 7: its
+    target, start, kernel and chain seed."""
     template = Path(__file__).resolve().parents[1] / "src" / "discretemh" / "templates"
-    cfg = resolve_config(load_config(template / "varsel-desk-imh-unclipped.yaml"), seed=7)
-    data_seq, chain_seq = np.random.SeedSequence(7).spawn(1)[0].spawn(2)
-    target, init, _ = make_factory(cfg)(0, data_seq)
+    cfg = resolve_config(load_config(template / f"{name}.yaml"), seed=7)
+    data_seq, chain_seq = np.random.SeedSequence(7).spawn(index + 1)[index].spawn(2)
+    target, init, _ = make_factory(cfg)(index, data_seq)
     return target, init, cfg.spec, chain_seq
+
+
+def _desk_unclipped():
+    """The first replicate of ``varsel-desk-imh-unclipped.yaml`` (p=30)."""
+    return _template_replicate("varsel-desk-imh-unclipped")
 
 
 def test_unclipped_desk_chain_reuses_rejected_moves():
@@ -190,7 +264,7 @@ def test_unclipped_desk_chain_reuses_rejected_moves():
     assert trace.states == ref["states"]
     assert np.array_equal(trace.log_pis, ref["log_pis"])
     assert np.array_equal(trace.accepted, ref["accepted"])
-    counters = ("evals", "scans", "scans_reused", "neg_inf_rejects")
+    counters = ("evals", "scans", "scans_reused", "neg_inf_rejects", "bound_rejects")
     assert [getattr(trace, c) for c in counters] == [ref[c] for c in counters]
     proposals = set(zip(ref["states"], ref["proposals"]))
     # the scan at the start, then one per distinct proposal: 4 scans, 3 proposals
