@@ -132,6 +132,16 @@ def test_reverse_free_bound_is_above_exact_ratio(fixture_zoo, zoo_enumerations, 
             assert bound >= acceptance_log_ratio(target, x, y, spec)
 
 
+def _template_replicate(name, index=0):
+    """Replicate ``index`` of the packaged template ``name`` at seed 7: its
+    target, start, kernel and chain seed."""
+    template = Path(__file__).resolve().parents[1] / "src" / "discretemh" / "templates"
+    cfg = resolve_config(load_config(template / f"{name}.yaml"), seed=7)
+    data_seq, chain_seq = np.random.SeedSequence(7).spawn(index + 1)[index].spawn(2)
+    target, init, _ = make_factory(cfg)(index, data_seq)
+    return target, init, cfg.spec, chain_seq
+
+
 def _assert_exact_path(target, start, spec, n_steps, seed):
     """``run_chain`` and stateless ``step`` calls make the moves of the
     exact-path oracle, which scans every fresh proposal's target."""
@@ -241,24 +251,9 @@ def test_p1000_random_walk_chain_equals_stateless_steps():
     assert [getattr(trace, c) for c in counters] == [ref[c] for c in counters]
 
 
-def _template_replicate(name, index=0):
-    """Replicate ``index`` of the packaged template ``name`` at seed 7: its
-    target, start, kernel and chain seed."""
-    template = Path(__file__).resolve().parents[1] / "src" / "discretemh" / "templates"
-    cfg = resolve_config(load_config(template / f"{name}.yaml"), seed=7)
-    data_seq, chain_seq = np.random.SeedSequence(7).spawn(index + 1)[index].spawn(2)
-    target, init, _ = make_factory(cfg)(index, data_seq)
-    return target, init, cfg.spec, chain_seq
-
-
-def _desk_unclipped():
-    """The first replicate of ``varsel-desk-imh-unclipped.yaml`` (p=30)."""
-    return _template_replicate("varsel-desk-imh-unclipped")
-
-
 def test_unclipped_desk_chain_reuses_rejected_moves():
     # the unclipped kernel stalls: most steps propose a move already rejected
-    target, init, spec, seed = _desk_unclipped()
+    target, init, spec, seed = _template_replicate("varsel-desk-imh-unclipped")
     trace = run_chain(target, init, spec, 300, seed, stop_early=False)
     ref = stateless_chain(target, init, spec, 300, seed)
     assert trace.states == ref["states"]
@@ -307,7 +302,7 @@ def test_remembered_move_accepted_carries_fresh_scan(fixture_zoo, zoo_enumeratio
 
 
 def test_move_memory_is_bounded_and_freed_on_a_move():
-    target, init, spec, seed = _desk_unclipped()
+    target, init, spec, seed = _template_replicate("varsel-desk-imh-unclipped")
     rng = philox_rng(seed)
     x, lp, sx, largest = init, target.log_pi(init), None, 0
     for _ in range(1500):
