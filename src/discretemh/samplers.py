@@ -15,6 +15,7 @@ on worker scheduling.
 
 from __future__ import annotations
 
+import bisect
 import math
 import time
 from collections.abc import Callable, Sequence
@@ -93,12 +94,14 @@ class Scan:
     the target's sufficient statistics at the state, when it has them.
 
     A chain carries the scan while it stays at the state, and the scan
-    remembers what was worked out there: ``moves[j]`` holds ``(log pi(y),
-    log alpha)`` of the move to the j-th neighbor y once it has been
-    proposed and rejected, and ``cdf`` the informed proposal's cumulative
-    weights once the first proposal has been drawn.  Both are functions of
-    the state alone, so reading them gives the bits computing them again
-    would, and both go with the scan when the chain moves."""
+    remembers what was worked out there: ``moves[j]`` holds ``(y, log pi(y),
+    log alpha, bounded)`` of the move to the j-th neighbor y once it has
+    been proposed and rejected, where ``bounded`` marks a rejection on the
+    bound of :func:`_transition` and ``log alpha`` then holds that bound;
+    ``cdf`` holds the informed proposal's cumulative weights once the first
+    proposal has been drawn.  Both are functions of the state alone, so
+    reading them gives the bits computing them again would, and both go
+    with the scan when the chain moves."""
 
     state: State
     log_pi: float
@@ -113,9 +116,10 @@ class Scan:
         return 0 if self.log_pis is None else len(self.neighbors)
 
     @cached_property
-    def cdf(self) -> np.ndarray:
-        """Cumulative informed proposal weights, ``cumsum(exp(log_q))``."""
-        return np.cumsum(np.exp(self.log_q))
+    def cdf(self) -> list[float]:
+        """Cumulative informed proposal weights, ``cumsum(exp(log_q))``, as
+        a list that :func:`_sample_index` bisects."""
+        return np.cumsum(np.exp(self.log_q)).tolist()
 
     def log_k(self, j: int) -> float:
         """Log probability of proposing the j-th neighbor."""
@@ -230,7 +234,7 @@ def acceptance_log_ratio(
     return float(_move(target, sx, j, x_prime, spec)[2])
 
 
-@dataclass
+@dataclass(slots=True)
 class StepMeta:
     """One transition's record.  ``bounded`` marks an informed proposal
     rejected on the bound log pi(y) - log pi(x) - log K(x, y), which takes
@@ -248,9 +252,10 @@ class StepMeta:
     bounded: bool = False
 
 
-def _sample_index(rng: np.random.Generator, cdf: np.ndarray) -> int:
-    u = rng.random() * cdf[-1]
-    return min(int(np.searchsorted(cdf, u, side="right")), len(cdf) - 1)
+def _sample_index(rng: np.random.Generator, cdf: list[float]) -> int:
+    """An index drawn with the weights whose cumulative sums are ``cdf``:
+    the first whose sum exceeds u times the total, at most the last."""
+    return min(bisect.bisect_right(cdf, rng.random() * cdf[-1]), len(cdf) - 1)
 
 
 def _transition(
@@ -276,9 +281,10 @@ def _transition(
     drawn at once; a uniform at or above the bound rejects the move without
     the scan at y, just as the exact ratio would.  Every ``log_q`` is at most
     0 in floating point too (``logsumexp`` is never below the largest term),
-    so the computed bound is never below the computed ratio.  Such a
-    rejection still checks that y lists x, and is not remembered: a repeat
-    tests the bound again."""
+    so the computed bound is never below the computed ratio.  The first such
+    rejection of a move checks that y lists x, and the scan at x remembers
+    the bound: a repeat draws its uniform at the same point and, below the
+    bound, works out the exact move as a fresh proposal would."""
     if spec.lazy and rng.random() < 0.5:
         return x, StepMeta(None, False, True, 0.0, 0, x_log_pi), sx
     n_evals = n_scans = n_reused = 0
@@ -291,24 +297,33 @@ def _transition(
         j = int(rng.integers(len(sx.neighbors)))
     else:
         j = _sample_index(rng, sx.cdf)
-    y = sx.neighbors[j]
     remembered = sx.moves.get(j)
-    log_u = None
     if remembered is None:
+        y, bounded = sx.neighbors[j], False
         if sx.log_pis is not None and sx.log_pis[j] > -math.inf:
-            bound = float(log_mh_ratio(x_log_pi, sx.log_pis[j], sx.log_k(j), 0.0))
-            if bound < 0:
-                log_u = math.log(rng.random())
-                if log_u >= bound:
-                    _reverse_index(sx, j, y, target.neighbors(y))
-                    meta = StepMeta(y, False, False, bound, n_evals, x_log_pi, n_scans,
-                                    n_reused, bounded=True)
-                    return x, meta, sx
+            lp_y = float(sx.log_pis[j])
+            # the bound, until the exact move is worked out
+            log_alpha = float(log_mh_ratio(x_log_pi, lp_y, sx.log_k(j), 0.0))
+            bounded = log_alpha < 0
+    else:
+        y, lp_y, log_alpha, bounded = remembered
+    log_u = None
+    if bounded:
+        log_u = math.log(rng.random())
+        if log_u >= log_alpha:
+            if remembered is None:
+                _reverse_index(sx, j, y, target.neighbors(y))
+                sx.moves[j] = (y, lp_y, log_alpha, True)
+            meta = StepMeta(y, False, False, log_alpha, n_evals, x_log_pi, n_scans,
+                            n_reused, bounded=True)
+            return x, meta, sx
+    fresh = remembered is None or bounded
+    if fresh:
         lp_y, sy, log_alpha, n = _move(target, sx, j, y, spec)
         n_evals += n
         n_scans += sy is not None
     else:
-        (lp_y, log_alpha), sy = remembered, None
+        sy = None
 
     if log_alpha >= 0:
         accepted = True
@@ -324,8 +339,8 @@ def _transition(
             n_evals += n
             n_scans += 1
         return y, StepMeta(y, True, False, log_alpha, n_evals, lp_y, n_scans, n_reused), sy
-    if remembered is None:
-        sx.moves[j] = (lp_y, log_alpha)
+    if fresh:
+        sx.moves[j] = (y, lp_y, log_alpha, False)
     else:
         n_reused += lp_y > -math.inf
     return x, StepMeta(y, False, False, log_alpha, n_evals, x_log_pi, n_scans, n_reused), sx
@@ -423,13 +438,12 @@ def run_chain(
         raise ValueError("initial state has zero probability")
     states = [x]
     log_pis = [lp]
-    accepted = np.zeros(n_steps, dtype=bool)
-    lazy_stays = np.zeros(n_steps, dtype=bool)
+    accepted = []
+    lazy_stays = []
     evals = scans = reused = neg_inf = bounded = 0
     hit = 0 if (stop_set is not None and x in stop_set) else None
     t0 = time.perf_counter()
     t_hit = 0.0 if hit is not None else None
-    n_done = 0
     sx = None
     for i in range(n_steps):
         if hit is not None and stop_early:
@@ -438,14 +452,13 @@ def run_chain(
         lp = meta.next_log_pi
         states.append(x)
         log_pis.append(lp)
-        accepted[i] = meta.accepted
-        lazy_stays[i] = meta.lazy_stay
+        accepted.append(meta.accepted)
+        lazy_stays.append(meta.lazy_stay)
         reused += meta.n_reused
         evals += meta.n_evals
         scans += meta.n_scans
         neg_inf += meta.log_alpha == -math.inf
         bounded += meta.bounded
-        n_done = i + 1
         if meta.accepted and hit is None and stop_set is not None and x in stop_set:
             hit = i + 1
             t_hit = time.perf_counter() - t0
@@ -455,8 +468,8 @@ def run_chain(
         spec=spec,
         states=states,
         log_pis=np.array(log_pis),
-        accepted=accepted[:n_done],
-        lazy_stays=lazy_stays[:n_done],
+        accepted=np.array(accepted, dtype=bool),
+        lazy_stays=np.array(lazy_stays, dtype=bool),
         evals=evals,
         scans=scans,
         scans_reused=reused,

@@ -94,7 +94,8 @@ def stateless_chain(target, start, spec, n_steps, seed) -> dict:
     then on.  A move proposed again while the chain stays put is not worked
     out again unless it is accepted: then its log pi and the scan at its
     target are, and a rejected repeat counts one reused scan.  A move
-    rejected on the bound needs no reverse scan and is not remembered."""
+    rejected on the bound needs no reverse scan, and every rejection on the
+    bound, a repeat too, counts as one bound rejection."""
     rng = philox_rng(seed)
     x, lp = start, target.log_pi(start)
     out = {"states": [x], "log_pis": [lp], "proposals": [], "accepted": [], "lazy_stays": [],

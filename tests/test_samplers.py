@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import toy
@@ -13,11 +13,14 @@ from discretemh.samplers import (
     AsymmetricNeighborhood,
     InvalidClip,
     KernelSpec,
+    Scan,
+    _sample_index,
     acceptance_log_ratio,
     hitting_experiment,
     informed_proposal_dist,
     log_clip_weight,
     run_chain,
+    scan_at,
     step,
 )
 from conftest import N_WORKERS
@@ -180,6 +183,73 @@ class TestStep:
             example3_v_n1, (0, 0, 0), KernelSpec("informed", ell=3.0, big_l=9.0), rng
         )
         assert meta.n_evals in (3, 6)  # forward scan, plus reverse scan unless stuck
+
+
+class _FixedUniform:
+    """A generator stand-in whose ``random()`` returns ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def _searchsorted_index(cdf, u):
+    return min(int(np.searchsorted(np.asarray(cdf), u * cdf[-1], side="right")), len(cdf) - 1)
+
+
+# log weights that include zeros (-inf) and weights that underflow to 0
+_LOG_WEIGHTS = st.lists(
+    st.one_of(st.floats(-800.0, 5.0), st.just(-math.inf), st.floats(-1e4, -746.0)),
+    min_size=1, max_size=40,
+)
+# rng.random() is in [0, 1); the largest value it returns is 1 - 2**-53
+_UNIFORMS = st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.just(0.0),
+                      st.just(1.0 - 2.0 ** -53))
+
+
+class TestSampleIndex:
+    @given(log_q=_LOG_WEIGHTS, u=_UNIFORMS)
+    @settings(max_examples=300, deadline=None)
+    def test_bisect_matches_searchsorted(self, log_q, u):
+        log_q = np.array(log_q)
+        expected = np.cumsum(np.exp(log_q))
+        assume(expected[-1] > 0)
+        cdf = Scan((), 0.0, [None] * len(log_q), log_q=log_q).cdf
+        assert type(cdf) is list and np.asarray(cdf).tobytes() == expected.tobytes()
+        assert _sample_index(_FixedUniform(u), cdf) == _searchsorted_index(cdf, u)
+
+    @given(weights=st.lists(st.integers(0, 5), min_size=1, max_size=30), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_breakpoints_and_top_end(self, weights, data):
+        # integer weights padded to a power-of-two total, so u = cdf[k] / total
+        # puts u * total exactly on the breakpoint cdf[k]
+        total = 2 ** max(1, sum(weights)).bit_length()
+        cdf = np.cumsum(np.array(weights + [total - sum(weights)], dtype=float)).tolist()
+        k = data.draw(st.integers(0, len(cdf) - 1))
+        assert cdf[k] / total * cdf[-1] == cdf[k]
+        for u in (cdf[k] / total, 0.0, 1.0 - 2.0 ** -53):
+            assert _sample_index(_FixedUniform(u), cdf) == _searchsorted_index(cdf, u)
+
+    def test_top_end_after_flat_tail(self):
+        # the largest uniform stays below the total, so it draws the last
+        # positive weight; only u = 1, which the generator never returns,
+        # reaches the clamp to the last index
+        cdf = np.cumsum([0.1, 0.2, 0.0, 0.0]).tolist()
+        for u, expected in ((1.0 - 2.0 ** -53, 1), (1.0, 3)):
+            assert _sample_index(_FixedUniform(u), cdf) == _searchsorted_index(cdf, u) == expected
+
+    @pytest.mark.parametrize("spec", [KernelSpec("informed"),
+                                      KernelSpec("informed", ell=2.0, big_l=50.0)])
+    def test_scan_cdf_is_cumsum_list(self, fixture_zoo, zoo_enumerations, spec):
+        for name in ("example3-v2-n1", "varsel-p6-smax3", "sbm-p7", "bimodal"):
+            target = fixture_zoo[name]
+            for x in zoo_enumerations[name]:
+                sx = scan_at(target, x, target.log_pi(x), spec)
+                expected = np.cumsum(np.exp(sx.log_q))
+                assert type(sx.cdf) is list
+                assert np.asarray(sx.cdf).tobytes() == expected.tobytes()
 
 
 class TestRunChain:

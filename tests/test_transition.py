@@ -302,17 +302,59 @@ def test_remembered_move_accepted_carries_fresh_scan(fixture_zoo, zoo_enumeratio
 
 
 def test_move_memory_is_bounded_and_freed_on_a_move():
-    target, init, spec, seed = _template_replicate("varsel-desk-imh-unclipped")
+    # the unclipped chain remembers exact rejections, the clipped one mostly
+    # bound rejections
+    for template in ("varsel-desk-imh-unclipped", "varsel-full-imh"):
+        target, init, spec, seed = _template_replicate(template)
+        rng = philox_rng(seed)
+        x, lp, sx, largest, largest_bound = init, target.log_pi(init), None, 0, 0
+        for _ in range(1500):
+            x, meta, sx = _transition(target, x, lp, sx, spec, rng)
+            lp = meta.next_log_pi
+            n_bound = sum(bounded for *_, bounded in sx.moves.values())
+            assert n_bound <= len(sx.moves) <= len(sx.neighbors)
+            if meta.accepted:
+                assert not sx.moves
+            largest = max(largest, len(sx.moves))
+            largest_bound = max(largest_bound, n_bound)
+        assert largest > 0
+        assert largest_bound > 0 or not spec.clipped
+
+
+def test_bound_rejection_is_remembered():
+    # a bound-rejected move drawn again during the stay and rejected again
+    # costs no neighbors call: the scan at x remembers y and the bound
+    target, init, spec, seed = _template_replicate("varsel-full-imh")
+    calls = [0]
+
+    def counted_neighbors(z):
+        calls[0] += 1
+        return target.neighbors(z)
+
+    counted = dataclasses.replace(target, neighbors=counted_neighbors)
     rng = philox_rng(seed)
-    x, lp, sx, largest = init, target.log_pi(init), None, 0
-    for _ in range(1500):
-        x, meta, sx = _transition(target, x, lp, sx, spec, rng)
+    x, lp, sx, first, n_repeats = init, target.log_pi(init), None, {}, 0
+    for _ in range(300):
+        before, carried = calls[0], sx is not None
+        x, meta, sx = _transition(counted, x, lp, sx, spec, rng)
         lp = meta.next_log_pi
-        assert len(sx.moves) <= len(sx.neighbors)
+        made = calls[0] - before
         if meta.accepted:
-            assert not sx.moves
-        largest = max(largest, len(sx.moves))
-    assert largest > 0
+            first = {}
+        elif meta.bounded and meta.proposal in first:
+            assert made == 0
+            ref = first[meta.proposal]
+            assert (meta.proposal, meta.bounded, meta.log_alpha, meta.next_log_pi) == (
+                ref.proposal, ref.bounded, ref.log_alpha, ref.next_log_pi)
+            n_repeats += 1
+        elif meta.bounded:
+            # the first bound rejection of a move checks that y lists x; a
+            # step that does not carry the scan at x also scans x
+            assert made == 1 + (not carried)
+            first[meta.proposal] = meta
+        else:
+            first.pop(meta.proposal, None)
+    assert n_repeats > 0
 
 
 # sha256 of repr(states) over 300 steps at seed 2024 from the least probable
