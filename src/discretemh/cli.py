@@ -20,7 +20,7 @@ import math
 import re
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -66,46 +66,128 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------------
 # configuration
 
-# Every config key with its default, per section and, for the model and
-# run.init, per model kind; _REQUIRED marks keys without one.  A missing
-# run.init takes its model kind's whole default mapping; a partial one is
-# passed on as written and the replicate factories fill in the scheme.
+# A parser takes a value, its name (section.key) and the parsed model, and
+# returns the value parsed or raises ConfigError with a message that names
+# the key.
+
+
+def _as_float(value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return math.nan
+
+
+def _check(says: str, ok):
+    """A parser that keeps a value for which ``ok`` holds and otherwise
+    says what the key must be."""
+    def parse(value, name, model):
+        if not ok(value):
+            raise ConfigError(f"{name} must be {says}, got {value!r}")
+        return value
+    return parse
+
+
+def _integer(least: int, null: bool = False):
+    return _check(f"{'null or ' if null else ''}an integer >= {least}",
+                  lambda v: null and v is None or type(v) is int and v >= least)
+
+
+def _one_of(*choices):
+    return _check(" or ".join(choices), lambda v: v in choices)
+
+
+_boolean = _check("true or false", lambda v: isinstance(v, bool))
+_kind = _check("a model kind", lambda v: isinstance(v, str))
+_formats = _check("a list of csv and json",
+                  lambda v: isinstance(v, list) and all(f in ("csv", "json") for f in v))
+
+
+def _number(interval: str, *words, says: str = "lie in", scaled: bool = False):
+    """A float in ``interval``, written like ``(0, 1]``, or one of ``words``
+    as is; ``scaled`` numbers may be p-expressions (``resolve_scale``)."""
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+
+    def parse(value, name, model):
+        if value in words:
+            return value
+        number = resolve_scale(value, model["p"]) if scaled else _as_float(value)
+        if (isinstance(value, bool) or not lo <= number <= hi
+                or number == lo and interval[0] == "(" or number == hi and interval[-1] == ")"):
+            raise ConfigError(f"{name} must {says} {interval}, got {value!r}")
+        return number
+    return parse
+
+
+def _x0(value, name, model):
+    """``certify.x0`` parsed: None for the whole space, ``("top-mass",
+    fraction)`` with the fraction in (0, 1], or ``("smax", k)`` with k >= 0,
+    which counts selected variables and so has no meaning for SBM labels."""
+    if value is None or value == "all":
+        return None
+    kind, _, arg = value.partition(":") if isinstance(value, str) else ("", "", "")
+    if kind == "top-mass" and 0 < _as_float(arg) <= 1:
+        return kind, float(arg)
+    if kind == "smax" and arg.strip().isdigit():
+        if model["kind"] == "sbm":
+            raise ConfigError(f"{name} {value!r} counts selected variables; an sbm "
+                              "model takes all or top-mass:<fraction>")
+        return kind, int(arg)
+    raise ConfigError(f"{name} must be all, top-mass:<fraction in (0, 1]> or "
+                      f"smax:<integer >= 0>, got {value!r}")
+
+
+# Every config key with its default and its parser, per section and, for the
+# model, per model kind; _REQUIRED marks keys without a default.  The default
+# of run.init is per model kind: a missing run.init takes its kind's whole
+# mapping, and a partial one is passed on as written for the replicate
+# factories to fill in the scheme.
 _REQUIRED = object()
 _SCHEMA = {
     "model": {
         "varsel": {
-            "kind": _REQUIRED, "p": _REQUIRED, "n": _REQUIRED, "covariance": "moderate",
-            "g": "p^3", "kappa": 1.0, "s_max": None, "neighborhood": "n1",
+            "kind": (_REQUIRED, _kind), "p": (_REQUIRED, _integer(5)),
+            "n": (_REQUIRED, _integer(5)),
+            "covariance": ("moderate", _one_of(*varsel_model.COVARIANCES)),
+            "g": ("p^3", _number("(0, inf)", scaled=True)), "kappa": (1.0, _number("(0, inf)")),
+            "s_max": (None, _integer(1, null=True)),
+            "neighborhood": ("n1", _one_of(*varsel_model.NEIGHBORHOODS)),
         },
-        "sbm": {"kind": _REQUIRED, "p": _REQUIRED, "p_within": _REQUIRED, "p_between": _REQUIRED},
-        "example3": {"kind": _REQUIRED, "space": "v", "neighborhood": "n1"},
+        "sbm": {
+            "kind": (_REQUIRED, _kind), "p": (_REQUIRED, _integer(3)),
+            "p_within": (_REQUIRED, _number("[0, 1]")),
+            "p_between": (_REQUIRED, _number("[0, 1]")),
+        },
+        "example3": {
+            "kind": (_REQUIRED, _kind), "space": ("v", _one_of("v", "v2")),
+            "neighborhood": ("n1", _one_of(*varsel_model.NEIGHBORHOODS)),
+        },
     },
-    "kernel": {"family": RANDOM_WALK, "ell": 0, "big_l": "inf", "lazy": False},
+    # KernelSpec checks the clip of an informed kernel: 0 <= ell < big_l
+    "kernel": {
+        "family": (RANDOM_WALK, _one_of(RANDOM_WALK, INFORMED)),
+        "ell": (0, _number("[-inf, inf]", scaled=True)),
+        "big_l": ("inf", _number("[-inf, inf]", scaled=True)),
+        "lazy": (False, _boolean),
+    },
     "run": {
-        "n_runs": 1, "budget": 1000,
-        "init": {
-            "varsel": {"scheme": "uniform-m", "m": 0, "n_false": 50},
-            "sbm": {"scheme": "third-wrong"},
-        },
-        "seed": 0, "workers": 1, "stop_early": True, "fresh_data": True,
-        "save_trajectories": False,
+        "n_runs": (1, _integer(1)), "budget": (1000, _integer(0)),
+        "init": ({"varsel": {"scheme": "uniform-m", "m": 0, "n_false": 50},
+                  "sbm": {"scheme": "third-wrong"}},
+                 _check("a mapping", lambda v: isinstance(v, dict))),
+        "seed": (0, _integer(0)), "workers": (1, _integer(1)),
+        "stop_early": (True, _boolean), "fresh_data": (True, _boolean),
+        "save_trajectories": (False, _boolean),
     },
-    "output": {"directory": "out", "formats": ["csv", "json"]},
+    "output": {"directory": ("out", _check("a path", lambda v: isinstance(v, str))),
+               "formats": (["csv", "json"], _formats)},
     "certify": {
-        "epsilon": 0.25, "s_threshold": "auto", "q": None, "x0": "all",
-        "enum_cap": DEFAULT_ENUM_CAP, "eta": None, "t_max": 200,
+        "epsilon": (0.25, _number("(0, 1)")), "q": (None, _number("(0, 1)", None)),
+        "s_threshold": ("auto", _number("(1, inf)", "auto")), "x0": ("all", _x0),
+        "enum_cap": (DEFAULT_ENUM_CAP, _integer(1)), "t_max": (200, _integer(1)),
+        "eta": (None, _number("(0, 1]", None, says="be null or lie in")),
     },
 }
-
-
-def _with_defaults(body: dict, table: dict, kind: str | None = None) -> dict:
-    """Copy of ``body`` with the table's missing defaults appended in order;
-    ``kind`` names the model kind when the table has required keys."""
-    missing = [key for key in table if key not in body]
-    for key in missing:
-        if table[key] is _REQUIRED:
-            raise ConfigError(f"model.{key} is required for {kind}")
-    return {**body, **{key: copy.deepcopy(table[key]) for key in missing}}
 
 
 def _key_lines(text: str) -> dict[str, int]:
@@ -148,14 +230,14 @@ def load_config(path) -> dict:
     model = raw.get("model") or {}
     kind = model.get("kind")
     if kind is not None:
-        if kind not in _SCHEMA["model"]:
+        if not isinstance(kind, str) or kind not in _SCHEMA["model"]:
             raise ConfigError(f"{path}: unknown model kind {kind!r}")
         for key in model:
             if key not in _SCHEMA["model"][kind]:
                 complain(key, f"model kind {kind!r}")
     init = (raw.get("run") or {}).get("init")
     if isinstance(init, dict):
-        tables = _SCHEMA["run"]["init"]
+        tables = _SCHEMA["run"]["init"][0]
         if kind is None:
             allowed, context = set().union(*tables.values()), "run.init"
         else:
@@ -199,107 +281,44 @@ class Resolved:
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def resolve_config(raw: dict, seed=None, workers=None, out=None) -> Resolved:
-    model = dict(raw.get("model") or {})
-    kind = model.get("kind")
-    if kind is None:
-        raise ConfigError("model.kind is required")
-    model = _with_defaults(model, _SCHEMA["model"].get(kind, {}), kind)
-    if kind == "varsel":
-        model["g"] = resolve_scale(model["g"], model["p"])
-    elif kind == "example3":
-        model["p"] = 3
-    elif kind == "sbm":
-        for key in ("p_within", "p_between"):
-            rate = model[key]
-            if isinstance(rate, bool) or not 0.0 <= _as_float(rate) <= 1.0:
-                raise ConfigError(f"model.{key} must lie in [0, 1], got {rate!r}")
+def _parsed(section: str, body: dict, table: dict, model: dict | None = None) -> dict:
+    """Copy of ``body`` with the table's missing defaults appended in order
+    and each of the table's keys parsed; the parsers read the parsed
+    ``model``, which while the model is parsed is the copy itself."""
+    out = dict(body)
+    for key, (default, parse) in table.items():
+        if key not in out:
+            if default is _REQUIRED:
+                raise ConfigError(f"model.{key} is required for {body['kind']}")
+            out[key] = copy.deepcopy(default)
+        out[key] = parse(out[key], f"{section}.{key}", out if model is None else model)
+    return out
 
-    kernel = _with_defaults(raw.get("kernel") or {}, _SCHEMA["kernel"])
-    family = kernel["family"]
-    if family not in (RANDOM_WALK, INFORMED):
-        raise ConfigError(f"kernel.family must be random-walk or informed, got {family!r}")
-    p_dim = int(model.get("p", 1))
-    ell = resolve_scale(kernel["ell"], p_dim)
-    big_l = resolve_scale(kernel["big_l"], p_dim)
+
+def resolve_config(raw: dict, seed=None, workers=None, out=None) -> Resolved:
+    kind = (raw.get("model") or {}).get("kind")
+    if kind not in _SCHEMA["model"]:
+        raise ConfigError("model.kind is required" if kind is None
+                          else f"unknown model kind {kind!r}")
+    model = _parsed("model", raw["model"], _SCHEMA["model"][kind])
+    if kind == "example3":
+        model["p"] = 3
+    kernel = _parsed("kernel", raw.get("kernel") or {}, _SCHEMA["kernel"], model)
     try:
-        spec = KernelSpec(family=family, ell=ell, big_l=big_l, lazy=bool(kernel["lazy"]))
-    except Exception as exc:
+        spec = KernelSpec(**kernel)
+    except DiscreteMHError as exc:
         raise ConfigError(f"kernel: {exc}") from exc
 
-    run = _with_defaults(raw.get("run") or {},
-                         {**_SCHEMA["run"], "init": _SCHEMA["run"]["init"].get(kind, {})})
-    if seed is not None:
-        run["seed"] = seed
-    if workers is not None:
-        run["workers"] = workers
-
-    output = _with_defaults(raw.get("output") or {}, _SCHEMA["output"])
-    out_dir = Path(out) if out is not None else Path(output["directory"])
-    certify = _with_defaults(raw.get("certify") or {}, _SCHEMA["certify"])
-    _check_numbers(certify, run)
-    certify["x0"] = _check_x0(certify["x0"], kind)
-    return Resolved(raw=raw, model=model, spec=spec, run=run, out_dir=out_dir,
-                    formats=list(output["formats"]), certify=certify)
-
-
-# Numeric certify keys: the non-numeric values they also take and the open
-# interval a number must lie in.
-_CERTIFY_RANGES = {"epsilon": ((), 0.0, 1.0), "q": ((None,), 0.0, 1.0),
-                   "s_threshold": (("auto",), 1.0, math.inf)}
-
-
-def _as_float(value) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        return math.nan
-
-
-# Integer keys, per section, with the least value each may take.
-_INTEGER_MINIMA = {"certify": {"enum_cap": 1, "t_max": 1},
-                   "run": {"n_runs": 1, "workers": 1, "budget": 0, "seed": 0}}
-
-
-def _check_numbers(certify: dict, run: dict) -> None:
-    for key, (words, lo, hi) in _CERTIFY_RANGES.items():
-        value = certify[key]
-        if value in words:
-            continue
-        number = _as_float(value)
-        if not lo < number < hi:
-            raise ConfigError(f"certify.{key} must lie in ({lo:g}, {hi:g}), got {value!r}")
-        certify[key] = number
-    eta = certify["eta"]
-    if eta is not None:
-        if isinstance(eta, bool) or not 0.0 < _as_float(eta) <= 1.0:
-            raise ConfigError(f"certify.eta must be null or lie in (0, 1], got {eta!r}")
-        certify["eta"] = float(eta)
-    sections = {"certify": certify, "run": run}
-    for section, minima in _INTEGER_MINIMA.items():
-        for key, least in minima.items():
-            value = sections[section][key]
-            if isinstance(value, bool) or not isinstance(value, int) or value < least:
-                raise ConfigError(
-                    f"{section}.{key} must be an integer >= {least}, got {value!r}")
-
-
-def _check_x0(value, model_kind: str):
-    """``certify.x0`` parsed: None for the whole space, ``("top-mass",
-    fraction)`` with the fraction in (0, 1], or ``("smax", k)`` with k >= 0,
-    which counts selected variables and so has no meaning for SBM labels."""
-    if value is None or value == "all":
-        return None
-    kind, _, arg = value.partition(":") if isinstance(value, str) else ("", "", "")
-    if kind == "top-mass" and 0 < _as_float(arg) <= 1:
-        return kind, float(arg)
-    if kind == "smax" and arg.strip().isdigit():
-        if model_kind == "sbm":
-            raise ConfigError(f"certify.x0 {value!r} counts selected variables; an sbm "
-                              "model takes all or top-mass:<fraction>")
-        return kind, int(arg)
-    raise ConfigError("certify.x0 must be all, top-mass:<fraction in (0, 1]> or "
-                      f"smax:<integer >= 0>, got {value!r}")
+    init, parse_init = _SCHEMA["run"]["init"]
+    overrides = {key: value for key, value in (("seed", seed), ("workers", workers))
+                 if value is not None}
+    run = _parsed("run", {**(raw.get("run") or {}), **overrides},
+                  {**_SCHEMA["run"], "init": (init.get(kind, {}), parse_init)}, model)
+    output = _parsed("output", raw.get("output") or {}, _SCHEMA["output"], model)
+    certify = _parsed("certify", raw.get("certify") or {}, _SCHEMA["certify"], model)
+    return Resolved(raw=raw, model=model, spec=spec, run=run,
+                    out_dir=Path(output["directory"] if out is None else out),
+                    formats=output["formats"], certify=certify)
 
 
 # ---------------------------------------------------------------------------
@@ -366,58 +385,35 @@ class SbmFactory:
         return target, init, truth
 
 
-def _fixed_data_seed(cfg: Resolved) -> np.random.SeedSequence:
-    """Seed of the one dataset behind ``run.fresh_data: false`` and behind
-    certify and diagnose."""
-    return np.random.SeedSequence([cfg.run["seed"], 0xDA7A])
+def _fixed_data(cfg: Resolved) -> tuple:
+    """The one dataset, with its truth, behind ``run.fresh_data: false`` and
+    behind certify and diagnose."""
+    model, seed = cfg.model, np.random.SeedSequence([cfg.run["seed"], 0xDA7A])
+    if model["kind"] == "varsel":
+        return varsel_model.generate_data(model["p"], model["n"], model["covariance"], seed=seed)
+    return sbm_model.generate_sbm(model["p"], model["p_within"], model["p_between"], seed=seed)
 
 
 def make_factory(cfg: Resolved):
-    model = cfg.model
-    kind = model["kind"]
-    if kind == "varsel":
-        p, n, covariance = int(model["p"]), int(model["n"]), model["covariance"]
-        fixed = None
-        if not cfg.run["fresh_data"]:
-            fixed = varsel_model.generate_data(p, n, covariance, seed=_fixed_data_seed(cfg))
-        return VarselFactory(
-            p=p, n=n, covariance=covariance, g=float(model["g"]), kappa=float(model["kappa"]),
-            s_max=model["s_max"], neighborhood=model["neighborhood"],
-            init=dict(cfg.run["init"]), fixed=fixed,
-        )
-    if kind == "sbm":
-        p = int(model["p"])
-        p_within, p_between = float(model["p_within"]), float(model["p_between"])
-        fixed = None
-        if not cfg.run["fresh_data"]:
-            fixed = sbm_model.generate_sbm(p, p_within, p_between, seed=_fixed_data_seed(cfg))
-        return SbmFactory(p=p, p_within=p_within, p_between=p_between,
-                          init=dict(cfg.run["init"]), fixed=fixed)
-    raise ConfigError(f"model kind {kind!r} does not support experiments")
+    kind = cfg.model["kind"]
+    if kind not in ("varsel", "sbm"):
+        raise ConfigError(f"model kind {kind!r} does not support experiments")
+    fields = {key: cfg.model[key] for key in _SCHEMA["model"][kind] if key != "kind"}
+    fixed = None if cfg.run["fresh_data"] else _fixed_data(cfg)
+    factory = VarselFactory if kind == "varsel" else SbmFactory
+    return factory(**fields, init=dict(cfg.run["init"]), fixed=fixed)
 
 
 def build_static_target(cfg: Resolved) -> tuple[DiscreteTarget, dict]:
     """One fixed target (no replication) for certify/diagnose."""
     model = cfg.model
-    kind = model["kind"]
-    if kind == "example3":
-        target = varsel_model.example3_target(model["space"], model["neighborhood"])
-        return target, {"kind": "example3", **model}
-    if kind == "varsel":
-        data, truth = varsel_model.generate_data(
-            int(model["p"]), int(model["n"]), model["covariance"], seed=_fixed_data_seed(cfg)
-        )
-        hyper = varsel_model.VarSelHyper(
-            g=float(model["g"]), kappa=float(model["kappa"]), s_max=model["s_max"]
-        )
-        return varsel_model.varsel_target(data, hyper, neighborhood=model["neighborhood"]), model
-    if kind == "sbm":
-        data, _ = sbm_model.generate_sbm(
-            int(model["p"]), float(model["p_within"]), float(model["p_between"]),
-            seed=_fixed_data_seed(cfg),
-        )
+    if model["kind"] == "example3":
+        return varsel_model.example3_target(model["space"], model["neighborhood"]), model
+    data, _ = _fixed_data(cfg)
+    if model["kind"] == "sbm":
         return sbm_model.sbm_target(data), model
-    raise ConfigError(f"unknown model kind {kind!r}")
+    hyper = varsel_model.VarSelHyper(g=model["g"], kappa=model["kappa"], s_max=model["s_max"])
+    return varsel_model.varsel_target(data, hyper, neighborhood=model["neighborhood"]), model
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +570,7 @@ def cmd_experiment(cfg: Resolved) -> int:
         budget=run["budget"],
         master_seed=run["seed"],
         workers=run["workers"],
-        stop_early=bool(run["stop_early"]) and not run["save_trajectories"],
+        stop_early=run["stop_early"] and not run["save_trajectories"],
     )
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -696,7 +692,19 @@ def _tabulated(cfg: Resolved, timed: _Stages):
     return target, model_desc, space
 
 
+CERTIFY_METHODS = ("flow", "restricted-flow", "drift", "none")
+
+
 def cmd_certify(cfg: Resolved, method: str) -> int:
+    if method not in CERTIFY_METHODS:
+        print(f"error: unknown certify method {method!r}", file=sys.stderr)
+        return 2
+    if method == "restricted-flow" and cfg.certify["x0"] is None:
+        print("error: restricted-flow needs certify.x0", file=sys.stderr)
+        return 2
+    if method == "drift" and cfg.spec.family != INFORMED:
+        print("error: drift certificates target informed kernels", file=sys.stderr)
+        return 2
     timed = _Stages()
     tabulated = _tabulated(cfg, timed)
     if tabulated is None:
@@ -704,10 +712,8 @@ def cmd_certify(cfg: Resolved, method: str) -> int:
     target, model_desc, states = tabulated
     cert = cfg.certify
     stats = timed("stats", unimodality_stats, target, states)
-    epsilon = float(cert["epsilon"])
 
-    lazy_spec = KernelSpec(cfg.spec.family, cfg.spec.ell, cfg.spec.big_l, lazy=True)
-    chain = timed("build", build_transition_matrix, target, lazy_spec, states)
+    chain = timed("build", build_transition_matrix, target, replace(cfg.spec, lazy=True), states)
     report = timed("eigensolve", spectral_gap, chain)
     pi_min = float(chain.pi.min())
 
@@ -725,7 +731,7 @@ def cmd_certify(cfg: Resolved, method: str) -> int:
         if eta is None:
             eta = float(chain.pi[chain.index[rstats.x_star]])
     report.theorem_bounds = theorem_bounds(
-        stats, cfg.spec, pi_min, epsilon, eta=eta, restricted=restricted_ctx
+        stats, cfg.spec, pi_min, cert["epsilon"], eta=eta, restricted=restricted_ctx
     )
 
     failures: list[str] = []
@@ -756,12 +762,9 @@ def cmd_certify(cfg: Resolved, method: str) -> int:
 
     if method in ("flow", "restricted-flow"):
         restricted = method == "restricted-flow"
-        if restricted and x0 is None:
-            print("error: restricted-flow needs certify.x0", file=sys.stderr)
-            return 2
         use_stats = restricted_ctx.stats if restricted else stats
         s_val = cert["s_threshold"]
-        s_threshold = _auto_s(cfg.spec, use_stats) if s_val == "auto" else float(s_val)
+        s_threshold = _auto_s(cfg.spec, use_stats) if s_val == "auto" else s_val
         try:
             fg = timed("flow_graph", build_flow_graph, chain, s_threshold,
                        x0 if restricted else None)
@@ -779,13 +782,8 @@ def cmd_certify(cfg: Resolved, method: str) -> int:
                 check("congestion closed form", rep.a_exact <= rep.a_closed_form * (1 + 1e-9),
                       f"A_exact {rep.a_exact:.6g} <= closed form {rep.a_closed_form:.6g}")
     elif method == "drift":
-        if cfg.spec.family != INFORMED:
-            print("error: drift certificates target informed kernels", file=sys.stderr)
-            return 2
-        plain = timed(
-            "build", build_transition_matrix, target,
-            KernelSpec(cfg.spec.family, cfg.spec.ell, cfg.spec.big_l, lazy=False), states,
-        )
+        plain = timed("build", build_transition_matrix, target, replace(cfg.spec, lazy=False),
+                      states)
         drift_chain = plain if timed("eigensolve", plain.eigensystem)[0] >= -1e-10 else chain
         try:
             cert_obj = timed("drift", drift_certificate, drift_chain)
@@ -801,9 +799,6 @@ def cmd_certify(cfg: Resolved, method: str) -> int:
                 check(f"drift mixing bound (eps={eps})",
                       t_exact is not None and t_exact <= bound,
                       f"exact tau {t_exact} <= bound {bound:.2f}")
-    elif method != "none":
-        print(f"error: unknown certify method {method!r}", file=sys.stderr)
-        return 2
 
     sizes["log_pi_calls"] = states.log_pi_evals
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
@@ -830,7 +825,7 @@ def cmd_diagnose(cfg: Resolved) -> int:
     if x0 is not None:
         report.restricted_gap = timed("eigensolve", restricted_gap, chain, x0)
     report.theorem_bounds = theorem_bounds(
-        stats, cfg.spec, float(chain.pi.min()), float(cert["epsilon"])
+        stats, cfg.spec, float(chain.pi.min()), cert["epsilon"]
     )
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     (cfg.out_dir / "gap_report.json").write_text(json.dumps({
@@ -841,7 +836,7 @@ def cmd_diagnose(cfg: Resolved) -> int:
                   "log_pi_calls": states.log_pi_evals},
     }, indent=2, default=str))
     worst_start = chain.states[int(np.argmin(chain.log_pis))]
-    curve = tv_curve(chain, worst_start, int(cert["t_max"]))
+    curve = tv_curve(chain, worst_start, cert["t_max"])
     with open(cfg.out_dir / "tv.csv", "w") as fh:
         fh.write(_meta_line(cfg))
         fh.write(f"# start={worst_start}\n")
@@ -872,12 +867,11 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--workers", type=int, default=None)
         p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=["csv", "json"], action="append", default=None)
+        if name == "experiment":
+            p.add_argument("--workers", type=int, default=None)
         if name == "certify":
-            p.add_argument("--method", choices=["flow", "restricted-flow", "drift", "none"],
-                           default="flow")
+            p.add_argument("--method", choices=CERTIFY_METHODS, default="flow")
 
     args = parser.parse_args(argv)
     if args.command == "golden":
@@ -885,9 +879,7 @@ def main(argv=None) -> int:
 
     try:
         raw = load_config(args.config)
-        cfg = resolve_config(raw, seed=args.seed, workers=args.workers, out=args.out)
-        if args.format:
-            cfg.formats = list(dict.fromkeys(args.format))
+        cfg = resolve_config(raw, args.seed, getattr(args, "workers", None), args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

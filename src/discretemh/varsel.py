@@ -42,6 +42,10 @@ from .core import (
 
 # Pivot smaller than this times the largest Gram diagonal counts as singular.
 PIVOT_RTOL = 1e-10
+# Design covariances (correlation exp(-2|i-j|), exp(-|i-j|/4)) and neighbor
+# schemes (single flips, add-delete-swap).
+COVARIANCES = ("moderate", "high")
+NEIGHBORHOODS = ("n1", "ads")
 
 
 class SingularModel(DiscreteMHError):
@@ -249,7 +253,7 @@ def neighbors(delta, scheme: str = "n1", s_max: int | None = None, hard: bool = 
     ``hard=True`` they are dropped from the list instead.  The single flips
     come as a :class:`Flips`.
     """
-    if scheme not in ("n1", "ads"):
+    if scheme not in NEIGHBORHOODS:
         raise ValueError(f"unknown neighborhood scheme {scheme!r}")
     flips = Flips(delta, _flip_coords(delta, sum(delta), s_max, hard), 1)
     if scheme == "n1":
@@ -427,14 +431,11 @@ def varsel_target(
 
 def covariance_matrix(p: int, kind: str) -> np.ndarray:
     """Design covariance: unit diagonal, exponentially decaying correlation."""
+    if kind not in COVARIANCES:
+        raise ValueError(f"unknown covariance kind {kind!r}")
     idx = np.arange(p)
     diff = np.abs(idx[:, None] - idx[None, :])
-    if kind == "moderate":
-        sigma = np.exp(-2.0 * diff)
-    elif kind == "high":
-        sigma = np.exp(-diff / 4.0)
-    else:
-        raise ValueError(f"unknown covariance kind {kind!r}")
+    sigma = np.exp(-2.0 * diff) if kind == "moderate" else np.exp(-diff / 4.0)
     np.fill_diagonal(sigma, 1.0)
     return sigma
 

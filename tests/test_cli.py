@@ -125,6 +125,58 @@ class TestConfig:
         assert not out.exists()
 
 
+VARSEL_MODEL = {"kind": "varsel", "p": 6, "n": 80}
+
+
+@pytest.mark.parametrize("section, key, value, model", [
+    ("model", "p", 3, VARSEL_MODEL), ("model", "p", "ten", VARSEL_MODEL),
+    ("model", "p", True, VARSEL_MODEL), ("model", "n", 2.5, VARSEL_MODEL),
+    ("model", "covariance", "weird", VARSEL_MODEL), ("model", "g", -1, VARSEL_MODEL),
+    ("model", "kappa", 0, VARSEL_MODEL), ("model", "s_max", 0, VARSEL_MODEL),
+    ("model", "s_max", 2.5, VARSEL_MODEL), ("model", "neighborhood", "xyz", VARSEL_MODEL),
+    ("model", "p", 10.5, SMALL_SBM), ("model", "space", "v3", {"kind": "example3"}),
+    ("kernel", "lazy", "false", VARSEL_MODEL), ("run", "stop_early", "no", VARSEL_MODEL),
+    ("output", "formats", ["xml"], VARSEL_MODEL), ("output", "formats", "csv", VARSEL_MODEL),
+    ("run", "init", None, VARSEL_MODEL), ("output", "directory", 5, VARSEL_MODEL),
+])
+def test_bad_value_is_a_config_error_before_any_output(tmp_path, capsys, section, key, value,
+                                                       model):
+    raw = {"model": dict(model), "run": {"n_runs": 1, "budget": 5}}
+    raw.setdefault(section, {})[key] = value
+    path = write_cfg(tmp_path, raw)
+    out = tmp_path / "o"
+    command = "certify" if model["kind"] == "example3" else "experiment"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    assert f"config error: {section}.{key} " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--format", "csv"], ["--workers", "2"]])
+@pytest.mark.parametrize("command", [["certify"], ["diagnose"]])
+def test_certify_and_diagnose_take_no_format_or_workers(tmp_path, capsys, command, flags):
+    path = write_cfg(tmp_path, {"model": {"kind": "example3"}})
+    with pytest.raises(SystemExit) as exit_:
+        main([*command, "--config", str(path), "--out", str(tmp_path / "o"), *flags])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method, kernel, message", [
+    ("restricted-flow", {"family": "random-walk"}, "restricted-flow needs certify.x0"),
+    ("drift", {"family": "random-walk"}, "drift certificates target informed kernels"),
+])
+def test_certify_refuses_a_method_before_enumerating(tmp_path, capsys, monkeypatch, method,
+                                                     kernel, message):
+    from discretemh import cli
+
+    monkeypatch.setattr(cli, "enumerate_space", lambda *args: pytest.fail("enumerated"))
+    path = write_cfg(tmp_path, {"model": {"kind": "example3"}, "kernel": kernel})
+    out = tmp_path / "o"
+    assert main(["certify", "--config", str(path), "--method", method, "--out", str(out)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestGolden:
     def test_example4_and_5_all_pass(self):
         assert all(c.ok for c in golden_example4())
