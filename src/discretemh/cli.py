@@ -32,7 +32,6 @@ from .core import (
     CapExceeded,
     DiscreteMHError,
     DiscreteTarget,
-    Space,
     enumerate_space,
     philox_rng,
     restricted_stats,
@@ -119,6 +118,17 @@ def _number(interval: str, *words, says: str = "lie in", scaled: bool = False):
     return parse
 
 
+def _init(value, name, model):
+    """``run.init``: a mapping whose ``m`` and ``n_false``, where given, are
+    integers >= 0; the replicate factories check its scheme."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a mapping, got {value!r}")
+    for key in ("m", "n_false"):
+        if key in value:
+            _integer(0)(value[key], f"{name}.{key}", model)
+    return value
+
+
 def _x0(value, name, model):
     """``certify.x0`` parsed: None for the whole space, ``("top-mass",
     fraction)`` with the fraction in (0, 1], or ``("smax", k)`` with k >= 0,
@@ -173,8 +183,7 @@ _SCHEMA = {
     "run": {
         "n_runs": (1, _integer(1)), "budget": (1000, _integer(0)),
         "init": ({"varsel": {"scheme": "uniform-m", "m": 0, "n_false": 50},
-                  "sbm": {"scheme": "third-wrong"}},
-                 _check("a mapping", lambda v: isinstance(v, dict))),
+                  "sbm": {"scheme": "third-wrong"}}, _init),
         "seed": (0, _integer(0)), "workers": (1, _integer(1)),
         "stop_early": (True, _boolean), "fresh_data": (True, _boolean),
         "save_trajectories": (False, _boolean),
@@ -556,8 +565,26 @@ def cmd_golden(example: str) -> int:
 # experiments
 
 
-def _meta_line(cfg: Resolved) -> str:
-    return f"# config_hash={cfg.config_hash} version={__version__}\n"
+def _write_csv(cfg: Resolved, name: str, header: str, rows, notes=()) -> None:
+    """``name`` in the output directory: the config hash and version line, a
+    ``# note`` line per note, the header, then each row's cells joined by
+    commas."""
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    with open(cfg.out_dir / name, "w") as fh:
+        fh.write(f"# config_hash={cfg.config_hash} version={__version__}\n")
+        fh.writelines(f"# {note}\n" for note in notes)
+        fh.write(f"{header}\n")
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
+
+
+def _write_json(cfg: Resolved, name: str, payload: dict) -> Path:
+    """``name`` in the output directory: the config hash and version, then
+    ``payload``."""
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    path = cfg.out_dir / name
+    path.write_text(json.dumps({"config_hash": cfg.config_hash, "version": __version__,
+                                **payload}, indent=2, default=str))
+    return path
 
 
 def cmd_experiment(cfg: Resolved) -> int:
@@ -588,50 +615,32 @@ def cmd_experiment(cfg: Resolved) -> int:
         if majority and summary.median_elapsed_to_hit is not None else "--"
     )
     if "csv" in cfg.formats:
-        with open(out / "summary.csv", "w") as fh:
-            fh.write(_meta_line(cfg))
-            fh.write("model,kernel,n_runs,budget,success,h_true\n")
-            fh.write(
-                f"{cfg.model['kind']},{cfg.spec.describe()},{summary.n_runs},"
-                f"{summary.budget},{summary.success},{h_true}\n"
-            )
-        with open(out / "timing.csv", "w") as fh:
-            fh.write(_meta_line(cfg))
-            fh.write("time_median_s,t_true_median_s\n")
-            fh.write(f"{summary.median_elapsed:.3f},{t_true}\n")
-        with open(out / "runs.csv", "w") as fh:
-            fh.write(_meta_line(cfg))
-            fh.write(
-                "index,hit,hit_iteration,steps,elapsed_s,elapsed_to_hit_s,"
-                "evals,scans,scans_reused,neg_inf_rejects,bound_rejects\n"
-            )
-            for i, t in enumerate(summary.runs):
-                fh.write(
-                    f"{i},{int(t.hit_iteration is not None)},"
-                    f"{'' if t.hit_iteration is None else t.hit_iteration},"
-                    f"{len(t.accepted)},{t.elapsed:.6f},"
-                    f"{'' if t.elapsed_to_hit is None else f'{t.elapsed_to_hit:.6f}'},"
-                    f"{t.evals},{t.scans},{t.scans_reused},{t.neg_inf_rejects},"
-                    f"{t.bound_rejects}\n"
-                )
+        _write_csv(cfg, "summary.csv", "model,kernel,n_runs,budget,success,h_true",
+                   [(cfg.model["kind"], cfg.spec.describe(), summary.n_runs, summary.budget,
+                     summary.success, h_true)])
+        _write_csv(cfg, "timing.csv", "time_median_s,t_true_median_s",
+                   [(f"{summary.median_elapsed:.3f}", t_true)])
+        runs = ((i, int(t.hit_iteration is not None),
+                 "" if t.hit_iteration is None else t.hit_iteration,
+                 len(t.accepted), f"{t.elapsed:.6f}",
+                 "" if t.elapsed_to_hit is None else f"{t.elapsed_to_hit:.6f}",
+                 t.evals, t.scans, t.scans_reused, t.neg_inf_rejects, t.bound_rejects)
+                for i, t in enumerate(summary.runs))
+        _write_csv(cfg, "runs.csv", "index,hit,hit_iteration,steps,elapsed_s,elapsed_to_hit_s,"
+                   "evals,scans,scans_reused,neg_inf_rejects,bound_rejects", runs)
     if "json" in cfg.formats:
-        (out / "summary.json").write_text(json.dumps({
-            "config_hash": cfg.config_hash,
-            "version": __version__,
+        _write_json(cfg, "summary.json", {
             "success": summary.success,
             "n_runs": summary.n_runs,
             "budget": summary.budget,
             "h_true": summary.median_hit_iteration if majority else None,
             "time_s": summary.median_elapsed,
             "t_true_s": summary.median_elapsed_to_hit if majority else None,
-        }, indent=2))
+        })
     if run["save_trajectories"]:
-        with open(out / "trajectories.csv", "w") as fh:
-            fh.write(_meta_line(cfg))
-            fh.write("run,step,log_pi\n")
-            for i, t in enumerate(summary.runs):
-                for step, lp in enumerate(t.log_pis):
-                    fh.write(f"{i},{step},{lp:.6f}\n")
+        _write_csv(cfg, "trajectories.csv", "run,step,log_pi",
+                   ((i, step, f"{lp:.6f}") for i, t in enumerate(summary.runs)
+                    for step, lp in enumerate(t.log_pis)))
     print(f"{'metric':12} value")
     print(f"{'Success':12} {summary.success}/{summary.n_runs}")
     print(f"{'H_true':12} {h_true}")
@@ -645,23 +654,18 @@ def cmd_experiment(cfg: Resolved) -> int:
 # certify / diagnose
 
 
-def _select_x0(x0, states: Space) -> list | None:
-    """The states of a restriction parsed by ``_check_x0``; None for all."""
+def _select_x0(x0, chain) -> list | None:
+    """The states of a restriction parsed by ``_x0``; None for all.  A
+    top-mass restriction takes the states in order of decreasing pi up to
+    the first at which their running total reaches the fraction."""
     if x0 is None:
         return None
     kind, arg = x0
     if kind == "smax":
-        return [s for s in states if sum(s) <= arg]
-    lps = states.log_pis
-    mass = np.exp(lps - np.logaddexp.reduce(lps))
-    total = 0.0
-    chosen = []
-    for i in np.argsort(-lps):
-        chosen.append(states[i])
-        total += mass[i]
-        if total >= arg:
-            break
-    return chosen
+        return [s for s in chain.states if sum(s) <= arg]
+    order = np.argsort(-chain.log_pis)
+    last = np.searchsorted(np.cumsum(chain.pi[order]), arg)
+    return [chain.states[i] for i in order[:last + 1]]
 
 
 def _auto_s(spec: KernelSpec, stats) -> float:
@@ -680,16 +684,23 @@ class _Stages(dict):
         return out
 
 
-def _tabulated(cfg: Resolved, timed: _Stages):
-    """The static target, its description and its tabulated space; None
-    past the enum cap."""
+def _exact(cfg: Resolved, spec: KernelSpec, timed: _Stages):
+    """The stages certify and diagnose share: the static target and its
+    description, its tabulated space, its unimodality stats, the chain of
+    ``spec`` on it with its gap report, the ``certify.x0`` states (None for
+    all) and the sizes; None past the enum cap."""
     target, model_desc = build_static_target(cfg)
     try:
-        space = timed("enumerate", enumerate_space, target, cfg.certify["enum_cap"])
+        states = timed("enumerate", enumerate_space, target, cfg.certify["enum_cap"])
     except CapExceeded as exc:
         print(f"error: {exc}; shrink model.p or raise certify.enum_cap", file=sys.stderr)
         return None
-    return target, model_desc, space
+    stats = timed("stats", unimodality_stats, target, states)
+    chain = timed("build", build_transition_matrix, target, spec, states)
+    report = timed("eigensolve", spectral_gap, chain)
+    sizes = {"states": len(states), "nnz_P": int(chain.P.count_nonzero())}
+    return (target, model_desc, states, stats, chain, report,
+            _select_x0(cfg.certify["x0"], chain), sizes)
 
 
 CERTIFY_METHODS = ("flow", "restricted-flow", "drift", "none")
@@ -706,18 +717,12 @@ def cmd_certify(cfg: Resolved, method: str) -> int:
         print("error: drift certificates target informed kernels", file=sys.stderr)
         return 2
     timed = _Stages()
-    tabulated = _tabulated(cfg, timed)
-    if tabulated is None:
+    exact = _exact(cfg, replace(cfg.spec, lazy=True), timed)
+    if exact is None:
         return 2
-    target, model_desc, states = tabulated
+    target, model_desc, states, stats, chain, report, x0, sizes = exact
     cert = cfg.certify
-    stats = timed("stats", unimodality_stats, target, states)
-
-    chain = timed("build", build_transition_matrix, target, replace(cfg.spec, lazy=True), states)
-    report = timed("eigensolve", spectral_gap, chain)
     pi_min = float(chain.pi.min())
-
-    x0 = _select_x0(cert["x0"], states)
     restricted_ctx = None
     eta = cert["eta"]
     if x0 is not None:
@@ -742,7 +747,6 @@ def cmd_certify(cfg: Resolved, method: str) -> int:
         "gap_report": report.to_json_dict(),
         "checks": [],
     }
-    sizes = {"states": len(states), "nnz_P": int(chain.P.count_nonzero())}
 
     def check(name: str, ok: bool, detail: str):
         payload["checks"].append({"name": name, "ok": bool(ok), "detail": detail})
@@ -801,48 +805,32 @@ def cmd_certify(cfg: Resolved, method: str) -> int:
                       f"exact tau {t_exact} <= bound {bound:.2f}")
 
     sizes["log_pi_calls"] = states.log_pi_evals
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = cfg.out_dir / "certificate.json"
-    out_path.write_text(json.dumps({
-        "config_hash": cfg.config_hash, "version": __version__, **payload,
-        "timings": timed, "sizes": sizes,
-    }, indent=2, default=str))
+    out_path = _write_json(cfg, "certificate.json", {**payload, "timings": timed, "sizes": sizes})
     print(f"report: {out_path}")
     return 1 if failures else 0
 
 
 def cmd_diagnose(cfg: Resolved) -> int:
     timed = _Stages()
-    tabulated = _tabulated(cfg, timed)
-    if tabulated is None:
+    exact = _exact(cfg, cfg.spec, timed)
+    if exact is None:
         return 2
-    target, model_desc, states = tabulated
+    _, model_desc, states, stats, chain, report, x0, sizes = exact
     cert = cfg.certify
-    stats = timed("stats", unimodality_stats, target, states)
-    chain = timed("build", build_transition_matrix, target, cfg.spec, states)
-    report = timed("eigensolve", spectral_gap, chain)
-    x0 = _select_x0(cert["x0"], states)
     if x0 is not None:
         report.restricted_gap = timed("eigensolve", restricted_gap, chain, x0)
     report.theorem_bounds = theorem_bounds(
         stats, cfg.spec, float(chain.pi.min()), cert["epsilon"]
     )
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    (cfg.out_dir / "gap_report.json").write_text(json.dumps({
-        "config_hash": cfg.config_hash, "version": __version__,
+    sizes["log_pi_calls"] = states.log_pi_evals
+    _write_json(cfg, "gap_report.json", {
         "model": model_desc, "stats": stats.to_json_dict(),
-        "gap_report": report.to_json_dict(), "timings": timed,
-        "sizes": {"states": len(states), "nnz_P": int(chain.P.count_nonzero()),
-                  "log_pi_calls": states.log_pi_evals},
-    }, indent=2, default=str))
+        "gap_report": report.to_json_dict(), "timings": timed, "sizes": sizes,
+    })
     worst_start = chain.states[int(np.argmin(chain.log_pis))]
     curve = tv_curve(chain, worst_start, cert["t_max"])
-    with open(cfg.out_dir / "tv.csv", "w") as fh:
-        fh.write(_meta_line(cfg))
-        fh.write(f"# start={worst_start}\n")
-        fh.write("t,tv\n")
-        for t, val in enumerate(curve.tv):
-            fh.write(f"{t},{val:.12g}\n")
+    _write_csv(cfg, "tv.csv", "t,tv", ((t, f"{val:.12g}") for t, val in enumerate(curve.tv)),
+               notes=[f"start={worst_start}"])
     print(f"gap {report.gap:.6g} (rayleigh {report.rayleigh_gap:.6g})"
           + (f", restricted {report.restricted_gap:.6g}" if report.restricted_gap is not None else ""))
     print(f"outputs in {cfg.out_dir}")

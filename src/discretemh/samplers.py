@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import (AsymmetricNeighborhood, DiscreteMHError, DiscreteTarget, Flips,
-                   IsolatedState, State, logsumexp, philox_rng)
+                   InvalidInit, IsolatedState, State, logsumexp, philox_rng)
 
 RANDOM_WALK = "random-walk"
 INFORMED = "informed"
@@ -435,7 +435,7 @@ def run_chain(
     stats = None if target.stats_at is None else target.stats_at(x)
     lp = target.log_pi(x) if stats is None else stats.log_posterior()
     if lp == -math.inf:
-        raise ValueError("initial state has zero probability")
+        raise InvalidInit("initial state has zero probability")
     states = [x]
     log_pis = [lp]
     accepted = []

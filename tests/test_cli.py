@@ -151,6 +151,32 @@ def test_bad_value_is_a_config_error_before_any_output(tmp_path, capsys, section
     assert not out.exists()
 
 
+@pytest.mark.parametrize("init, message", [
+    ({"scheme": "uniform-m", "m": "two"}, "run.init.m must be an integer >= 0"),
+    ({"scheme": "uniform-m", "m": True}, "run.init.m must be an integer >= 0"),
+    ({"scheme": "good", "n_false": -1}, "run.init.n_false must be an integer >= 0"),
+])
+def test_bad_init_value_is_a_config_error_before_any_output(tmp_path, capsys, init, message):
+    raw = {"model": dict(VARSEL_MODEL), "run": {"n_runs": 1, "budget": 5, "init": init}}
+    out = tmp_path / "o"
+    assert main(["experiment", "--config", str(write_cfg(tmp_path, raw)), "--out", str(out)]) == 2
+    assert f"config error: {message}, got " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("model, m", [
+    ({"kind": "varsel", "p": 10, "n": 80, "s_max": 2}, 5),  # more variables than s_max
+    ({"kind": "varsel", "p": 10, "n": 6}, 8),  # more variables than observations
+])
+def test_zero_probability_start_is_a_library_error(tmp_path, capsys, model, m):
+    raw = {"model": model, "run": {"n_runs": 2, "budget": 5,
+                                   "init": {"scheme": "uniform-m", "m": m}}}
+    out = tmp_path / "o"
+    assert main(["experiment", "--config", str(write_cfg(tmp_path, raw)), "--out", str(out)]) == 2
+    assert "error: InvalidInit: initial state has zero probability" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags", [["--format", "csv"], ["--workers", "2"]])
 @pytest.mark.parametrize("command", [["certify"], ["diagnose"]])
 def test_certify_and_diagnose_take_no_format_or_workers(tmp_path, capsys, command, flags):
