@@ -131,18 +131,22 @@ def _symmetrized(P):
 
 def _extreme_eigvals(mat, k: int, which: str) -> np.ndarray:
     """``k`` extreme eigenvalues of a symmetric sparse matrix or operator,
-    ascending.  ARPACK starts from a fixed vector (its own start is random
-    per call).  Below four states, where ARPACK cannot run, and where it
-    stalls on clustered extreme eigenvalues (a nearly reducible chain), every
-    eigenvalue of the dense matrix is returned instead, up to
-    ``DENSE_MAX_STATES`` states (:class:`DenseTooLarge` past it)."""
+    ascending.  ARPACK starts from a fixed vector and draws any restart
+    vector from a fixed stream (its own are random per call), so a call
+    gives the same value each time.  Below four states, where ARPACK cannot
+    run, and where it stalls on clustered extreme eigenvalues (a nearly
+    reducible chain), every eigenvalue of the dense matrix is returned
+    instead, up to ``DENSE_MAX_STATES`` states (:class:`DenseTooLarge` past
+    it)."""
     from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
     n = mat.shape[0]
     try:
         if n > 3:
-            v0 = philox_rng(0).standard_normal(n)
-            return np.sort(eigsh(mat, k=k, which=which, v0=v0, return_eigenvectors=False))
+            rng = philox_rng(0)
+            v0 = rng.standard_normal(n)
+            return np.sort(eigsh(mat, k=k, which=which, v0=v0, rng=rng,
+                                 return_eigenvectors=False))
     except ArpackNoConvergence:
         pass
     _check_dense(n)

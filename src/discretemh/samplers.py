@@ -258,6 +258,21 @@ def _sample_index(rng: np.random.Generator, cdf: list[float]) -> int:
     return min(bisect.bisect_right(cdf, rng.random() * cdf[-1]), len(cdf) - 1)
 
 
+def _rejected_again(move: tuple, u: float | None) -> tuple[int, bool, bool] | None:
+    """The stay test of a remembered rejected move ``(y, log pi(y), log
+    alpha, bounded)`` (see :class:`Scan`), given its acceptance uniform
+    ``u``, which is drawn only when log alpha is finite.  ``None`` when u
+    falls below alpha: the move is then accepted or, below a bound, worked
+    out as a fresh proposal.  Otherwise the chain stays, and the counters
+    that adds: the scans reused (the carried scan at x, and the reverse scan
+    an exact rejection onto a positive-probability y had), a rejection for
+    zero probability and a rejection on the bound."""
+    _, lp_y, log_alpha, bounded = move
+    if u is not None and math.log(u) < log_alpha:
+        return None
+    return 1 + (not bounded and lp_y > -math.inf), log_alpha == -math.inf, bounded
+
+
 def _transition(
     target: DiscreteTarget,
     x: State,
@@ -298,33 +313,36 @@ def _transition(
     else:
         j = _sample_index(rng, sx.cdf)
     remembered = sx.moves.get(j)
-    if remembered is None:
+    log_u = None
+    if remembered is not None:
+        y, lp_y, log_alpha, bounded = remembered
+        u = rng.random() if log_alpha > -math.inf else None
+        stay = _rejected_again(remembered, u)
+        if stay is not None:
+            return x, StepMeta(y, False, False, log_alpha, 0, x_log_pi, 0, stay[0],
+                               bounded), sx
+        log_u = math.log(u)
+        if not bounded:  # an exact rejection, accepted this time
+            _, sy, _, n = _move(target, sx, j, y, spec)
+            return y, StepMeta(y, True, False, log_alpha, n, lp_y, 1, 1), sy
+    else:
         y, bounded = sx.neighbors[j], False
         if sx.log_pis is not None and sx.log_pis[j] > -math.inf:
             lp_y = float(sx.log_pis[j])
             # the bound, until the exact move is worked out
             log_alpha = float(log_mh_ratio(x_log_pi, lp_y, sx.log_k(j), 0.0))
             bounded = log_alpha < 0
-    else:
-        y, lp_y, log_alpha, bounded = remembered
-    log_u = None
-    if bounded:
-        log_u = math.log(rng.random())
-        if log_u >= log_alpha:
-            if remembered is None:
+        if bounded:
+            log_u = math.log(rng.random())
+            if log_u >= log_alpha:
                 _reverse_index(sx, j, y, target.neighbors(y))
                 sx.moves[j] = (y, lp_y, log_alpha, True)
-            meta = StepMeta(y, False, False, log_alpha, n_evals, x_log_pi, n_scans,
-                            n_reused, bounded=True)
-            return x, meta, sx
-    fresh = remembered is None or bounded
-    if fresh:
-        lp_y, sy, log_alpha, n = _move(target, sx, j, y, spec)
-        n_evals += n
-        n_scans += sy is not None
-    else:
-        sy = None
-
+                meta = StepMeta(y, False, False, log_alpha, n_evals, x_log_pi, n_scans,
+                                n_reused, bounded=True)
+                return x, meta, sx
+    lp_y, sy, log_alpha, n = _move(target, sx, j, y, spec)
+    n_evals += n
+    n_scans += sy is not None
     if log_alpha >= 0:
         accepted = True
     elif log_alpha == -math.inf:
@@ -334,16 +352,64 @@ def _transition(
             log_u = math.log(rng.random())
         accepted = log_u < log_alpha
     if accepted:
-        if sy is None:
-            _, sy, _, n = _move(target, sx, j, y, spec)
-            n_evals += n
-            n_scans += 1
         return y, StepMeta(y, True, False, log_alpha, n_evals, lp_y, n_scans, n_reused), sy
-    if fresh:
-        sx.moves[j] = (y, lp_y, log_alpha, False)
-    else:
-        n_reused += lp_y > -math.inf
+    sx.moves[j] = (y, lp_y, log_alpha, False)
     return x, StepMeta(y, False, False, log_alpha, n_evals, x_log_pi, n_scans, n_reused), sx
+
+
+def _stay_run(sx: Scan, spec: KernelSpec, rng: np.random.Generator, n_max: int):
+    """Settle up to ``n_max`` steps of a stay at ``sx.state`` under an
+    informed kernel, as :func:`_transition` would, while each step proposes
+    a move the carried scan remembers and rejects it again.
+
+    Uniforms are drawn in blocks of 16, doubling up to 1,024.  Each step
+    reads its lazy coin, its proposal (a bisect of ``sx.cdf``) and the stay
+    test of :func:`_rejected_again` from them, with no record but its flags.
+    The run stops at the first step it cannot settle (an unremembered move,
+    or a uniform below the remembered alpha), rewinds the generator and
+    redraws exactly the uniforms its settled steps used, so that
+    ``_transition`` takes that step with the draws it would have had.
+    Returns the settled steps' lazy-stay flags and the scans reused,
+    zero-probability rejections and bound rejections they add."""
+    saved = rng.bit_generator.state
+    cdf, get, lazy = sx.cdf, sx.moves.get, spec.lazy
+    top = cdf[-1]
+    lazies = []
+    reused = neg_inf = bounded = 0
+    us, t, n_drawn, size = [], 0, 0, 16
+    while len(lazies) < n_max:
+        if len(us) - t < 3:  # a step takes at most three uniforms
+            us = us[t:] + rng.random(size).tolist()
+            t, n_drawn, size = 0, n_drawn + size, min(2 * size, 1024)
+        s = t
+        if lazy:
+            if us[s] < 0.5:
+                lazies.append(True)
+                t = s + 1
+                continue
+            s += 1
+        # an index past the last, which _sample_index clamps, is no move
+        # remembered: the step is left to _transition
+        move = get(bisect.bisect_right(cdf, us[s] * top))
+        if move is None:
+            break
+        u = None
+        if move[2] > -math.inf:
+            s += 1
+            u = us[s]
+        stay = _rejected_again(move, u)
+        if stay is None:
+            break
+        reused += stay[0]
+        neg_inf += stay[1]
+        bounded += stay[2]
+        lazies.append(False)
+        t = s + 1
+    used = n_drawn - (len(us) - t)
+    if used < n_drawn:
+        rng.bit_generator.state = saved
+        rng.random(used)
+    return lazies, reused, neg_inf, bounded
 
 
 def step(
@@ -377,7 +443,8 @@ class ChainTrace:
     ``bound_rejects`` informed proposals rejected on the bound that needs no
     reverse scan (see :class:`StepMeta`).  Neither kind needs one, so over
     the ``moves`` non-lazy steps ``scans + scans_reused + bound_rejects ==
-    2 * moves - neg_inf_rejects``."""
+    2 * moves - neg_inf_rejects``.  ``states`` is ``None`` for a chain run
+    without its state list."""
 
     seed: object
     spec: KernelSpec
@@ -403,6 +470,8 @@ def run_chain(
     seed,
     stop_at=None,
     stop_early: bool = False,
+    *,
+    keep_states: bool = True,
 ) -> ChainTrace:
     """Run a chain for ``n_steps`` transitions from ``init``.
 
@@ -416,7 +485,10 @@ def run_chain(
     state, a move proposed again is read from that scan's memory of
     rejected moves instead of being worked out again.  Like ``step``, it
     rejects an informed proposal on the bound of :func:`_transition` when
-    it can, without the scan at the proposed state.
+    it can, without the scan at the proposed state.  Under an informed
+    kernel, the steps of a stay that only repeat remembered rejections are
+    settled in runs (:func:`_stay_run`).  Without ``keep_states`` the
+    trace's ``states`` is ``None`` and no state list is built.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
@@ -436,7 +508,7 @@ def run_chain(
     lp = target.log_pi(x) if stats is None else stats.log_posterior()
     if lp == -math.inf:
         raise InvalidInit("initial state has zero probability")
-    states = [x]
+    states = [x] if keep_states else None
     log_pis = [lp]
     accepted = []
     lazy_stays = []
@@ -445,12 +517,27 @@ def run_chain(
     t0 = time.perf_counter()
     t_hit = 0.0 if hit is not None else None
     sx = None
-    for i in range(n_steps):
-        if hit is not None and stop_early:
-            break
+    i = 0
+    while i < n_steps and not (hit is not None and stop_early):
+        if sx is not None and sx.moves and sx.log_q is not None:
+            lazies, n_reused, n_neg_inf, n_bounded = _stay_run(sx, spec, rng, n_steps - i)
+            n = len(lazies)
+            if keep_states:
+                states += [x] * n
+            log_pis += [lp] * n
+            accepted += [False] * n
+            lazy_stays += lazies
+            reused += n_reused
+            neg_inf += n_neg_inf
+            bounded += n_bounded
+            i += n
+            if i == n_steps:
+                break
         x, meta, sx = _transition(target, x, lp, sx, spec, rng, stats if sx is None else None)
+        i += 1
         lp = meta.next_log_pi
-        states.append(x)
+        if keep_states:
+            states.append(x)
         log_pis.append(lp)
         accepted.append(meta.accepted)
         lazy_stays.append(meta.lazy_stay)
@@ -460,7 +547,7 @@ def run_chain(
         neg_inf += meta.log_alpha == -math.inf
         bounded += meta.bounded
         if meta.accepted and hit is None and stop_set is not None and x in stop_set:
-            hit = i + 1
+            hit = i
             t_hit = time.perf_counter() - t0
     elapsed = time.perf_counter() - t0
     return ChainTrace(
@@ -500,15 +587,12 @@ class ExperimentSummary:
 
 
 def _run_replicate(args):
-    """The replicate's trace, without its state list."""
+    """The replicate's trace, without a state list."""
     factory, index, seedseq, spec, budget, stop_early = args
     data_seq, chain_seq = seedseq.spawn(2)
     target, init, truth = factory(index, data_seq)
-    trace = run_chain(
-        target, init, spec, budget, chain_seq, stop_at=truth, stop_early=stop_early
-    )
-    trace.states = None
-    return trace
+    return run_chain(target, init, spec, budget, chain_seq, stop_at=truth,
+                     stop_early=stop_early, keep_states=False)
 
 
 def hitting_experiment(
@@ -526,7 +610,7 @@ def hitting_experiment(
     summary is identical for any worker count.  Success counts runs whose
     chain reaches a truth state within the budget; iteration and wall-time
     medians are taken over successful runs.  Each replicate's trace keeps
-    everything but its state list, which stays with the worker.
+    everything but its state list, which is never built.
     """
     children = np.random.SeedSequence(master_seed).spawn(n_runs)
     jobs = [

@@ -29,7 +29,7 @@ from discretemh.cli import (
     resolve_config,
     resolve_scale,
 )
-from discretemh.samplers import run_chain
+from discretemh.samplers import hitting_experiment, run_chain
 from discretemh.varsel import EXAMPLE3_G, EXAMPLE3_KAPPA
 from conftest import N_WORKERS, stateless_chain
 
@@ -326,6 +326,39 @@ class TestExperiment:
             assert (scans + int(row["scans_reused"]) + int(row["bound_rejects"])
                     == 2 * steps - int(row["neg_inf_rejects"]))
             assert scans < steps / 10
+
+    def test_replicates_build_no_state_list(self, tmp_path):
+        # a replicate keeps no states; its summary and runs.csv rows are those
+        # of the same chain run with its state list
+        raw = {**SMALL_VARSEL, "kernel": {"family": "informed", "ell": 2.0, "big_l": 50.0}}
+        raw["run"] = {**raw["run"], "n_runs": 4, "budget": 300}
+        out = tmp_path / "o"
+        resolved = resolve_config(load_config(write_cfg(tmp_path, raw)), out=str(out))
+        assert cmd_experiment(resolved) == 0
+        factory, seed = make_factory(resolved), resolved.run["seed"]
+        summary = hitting_experiment(factory, resolved.spec, 4, 300, seed)
+        assert all(t.states is None for t in summary.runs)
+        rows, hits = [], []
+        for i, child in enumerate(np.random.SeedSequence(seed).spawn(4)):
+            data_seq, chain_seq = child.spawn(2)
+            target, init, truth = factory(i, data_seq)
+            ref = run_chain(target, init, resolved.spec, 300, chain_seq, stop_at=truth,
+                            stop_early=True)
+            got = summary.runs[i]
+            assert ref.states is not None and len(ref.states) == len(got.log_pis)
+            assert np.array_equal(got.log_pis, ref.log_pis)
+            assert np.array_equal(got.accepted, ref.accepted)
+            assert np.array_equal(got.lazy_stays, ref.lazy_stays)
+            hit = "" if ref.hit_iteration is None else str(ref.hit_iteration)
+            rows.append([str(i), str(int(hit != "")), hit, str(len(ref.accepted)),
+                         *(str(getattr(ref, c)) for c in ("evals", "scans", "scans_reused",
+                                                           "neg_inf_rejects", "bound_rejects"))])
+            hits += [ref.hit_iteration] if hit else []
+        assert 0 < len(hits) == summary.success
+        assert summary.median_hit_iteration == float(np.median(hits))
+        lines = (out / "runs.csv").read_text().splitlines()
+        written = [ln.split(",") for ln in lines[2:]]
+        assert [r[:4] + r[6:] for r in written] == rows
 
     def test_sbm_without_init_starts_third_wrong(self, tmp_path, capsys):
         raw = {"model": SMALL_SBM, "run": {"n_runs": 1, "budget": 5}}

@@ -1,4 +1,9 @@
+import ast
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -159,6 +164,36 @@ class TestRestrictedGap:
         full = spectral_gap(chain).gap
         cluster = restricted_gap(chain, x0)
         assert cluster >= 10.0 * full
+
+
+# restricted_gap four times on certify-varsel-small.yaml with x0 "smax:2":
+# 22 states of total mass about 6e-54, whose smallest lifted eigenvalue is
+# at rounding level, so ARPACK's restarts decide the printed value
+SMALL_RESTRICTED_GAPS = """
+from dataclasses import replace
+from importlib import resources
+from discretemh.cli import build_static_target, load_config, resolve_config
+from discretemh.core import enumerate_space
+from discretemh.diagnostics import build_transition_matrix, restricted_gap
+raw = load_config(resources.files("discretemh") / "templates" / "certify-varsel-small.yaml")
+cfg = resolve_config(raw)
+target, _ = build_static_target(cfg)
+chain = build_transition_matrix(target, replace(cfg.spec, lazy=True), enumerate_space(target))
+x0 = [s for s in chain.states if sum(s) <= 2]
+print(repr([restricted_gap(chain, x0) for _ in range(4)]))
+"""
+
+
+def test_restricted_gap_repeats_within_and_across_processes(capsys):
+    exec(SMALL_RESTRICTED_GAPS, {})
+    here = capsys.readouterr().out.strip()
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    there = subprocess.run([sys.executable, "-c", SMALL_RESTRICTED_GAPS], capture_output=True,
+                           text=True, env={**os.environ, "PYTHONPATH": path}, check=True)
+    gaps = ast.literal_eval(here)
+    assert len(gaps) == 4 and len(set(gaps)) == 1
+    assert there.stdout.strip() == here
 
 
 class TestTvAndHitting:

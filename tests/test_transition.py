@@ -22,11 +22,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from discretemh import samplers, varsel
 from discretemh.cli import load_config, make_factory, resolve_config
 from discretemh.core import enumerate_space, philox_rng
 from discretemh.diagnostics import build_transition_matrix
 from discretemh.samplers import (
     KernelSpec,
+    _stay_run,
     _transition,
     acceptance_log_ratio,
     informed_proposal_dist,
@@ -183,6 +185,75 @@ def test_template_chain_matches_exact_path(template):
         n_bounded += trace.bound_rejects
     if spec.clipped:  # these chains reject most proposals on the bound
         assert n_bounded > 0
+
+
+COUNTERS = ("evals", "scans", "scans_reused", "neg_inf_rejects", "bound_rejects")
+
+
+@pytest.fixture
+def stay_runs(monkeypatch):
+    """What each ``_stay_run`` call of ``run_chain`` returned, with its
+    ``n_max``: the settled steps' lazy flags and the counters they add."""
+    calls = []
+
+    def recorded(sx, spec, rng, n_max):
+        out = _stay_run(sx, spec, rng, n_max)
+        calls.append((n_max, *out))
+        return out
+
+    monkeypatch.setattr(samplers, "_stay_run", recorded)
+    return calls
+
+
+def _assert_counted_exact_path(target, start, spec, n_steps, seed):
+    """``run_chain`` makes the moves of the exact-path oracle and reports the
+    five counters of stateless steps, which satisfy the scan identity."""
+    trace = _assert_exact_path(target, start, spec, n_steps, seed)
+    ref = stateless_chain(target, start, spec, n_steps, seed)
+    assert [getattr(trace, c) for c in COUNTERS] == [ref[c] for c in COUNTERS]
+    moves = n_steps - int(trace.lazy_stays.sum())
+    assert (trace.scans + trace.scans_reused + trace.bound_rejects
+            == 2 * moves - trace.neg_inf_rejects)
+
+
+def test_stay_runs_match_exact_path_at_every_budget(stay_runs):
+    # the unclipped chain settles most of its steps in stay runs; some
+    # budgets end inside one, the others on a step _transition takes
+    target, init, spec, seed = _template_replicate("varsel-desk-imh-unclipped")
+    ended_inside = 0
+    for budget in range(1, 41):
+        stay_runs.clear()
+        _assert_counted_exact_path(target, init, spec, budget, seed)
+        ended_inside += any(len(lazies) == n_max for n_max, lazies, *_ in stay_runs)
+    assert 0 < ended_inside < 40
+
+
+@pytest.mark.parametrize("name", ZOO_NAMES)
+def test_lazy_stay_runs_match_exact_path(fixture_zoo, zoo_enumerations, stay_runs, name):
+    # stay runs settle lazy coins as well as repeated rejections
+    target, spec = fixture_zoo[name], CHAIN_SPECS["clipped-lazy"]
+    by_mass = sorted(zoo_enumerations[name], key=target.log_pi)
+    for start in (by_mass[0], by_mass[-1]):
+        for seed in (3, 41):
+            _assert_counted_exact_path(target, start, spec, 400, seed)
+    settled = [lazy for _, lazies, *_ in stay_runs for lazy in lazies]
+    assert any(settled) and not all(settled)
+
+
+@pytest.mark.parametrize("kernel", ["clipped", "clipped-lazy", "unclipped"])
+def test_stay_runs_settle_zero_probability_moves(stay_runs, kernel):
+    # the zoo's varsel-p6-smax3 lists no model past s_max; with those models
+    # listed at probability 0, clipped kernels propose them at weight ell and
+    # remember their -inf log alpha, and the unclipped kernel never does
+    data, _ = varsel.generate_data(6, 300, "moderate", seed=7)
+    hyper = varsel.VarSelHyper(g=6.0 ** 3, kappa=1.0, s_max=3)
+    target = varsel.varsel_target(data, hyper, hard_space=False)
+    spec = CHAIN_SPECS[kernel]
+    start = max(enumerate_space(target, 4096), key=target.log_pi)
+    for seed in (3, 41):
+        _assert_counted_exact_path(target, start, spec, 400, seed)
+    settled_neg_inf = sum(n_neg_inf for *_, n_neg_inf, _ in stay_runs)
+    assert (settled_neg_inf > 0) == spec.clipped
 
 
 def _check_carried_block_counts(target, spec):
