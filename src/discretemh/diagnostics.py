@@ -5,12 +5,15 @@ array with one stored entry per move and per diagonal, then reads off
 spectral gaps, restricted spectral gaps, total-variation curves, expected
 hitting times and the named relaxation/mixing bounds.  Eigenvalues come
 from Lanczos iterations (ARPACK) on the pi-symmetrized matrix, started from
-a fixed vector so that repeated solves agree to the last bit; the spaces
+a fixed vector, and from SciPy 1.17 on draw their restart vectors from a
+fixed stream, so that repeated solves agree to the last bit; the spaces
 are those ``enumerate_space`` reaches under its cap.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -129,15 +132,23 @@ def _symmetrized(P):
     return off.multiply(off.T).sqrt() + diag
 
 
+@functools.cache
+def _takes_rng(eigsh) -> bool:
+    """Whether ``eigsh`` takes an ``rng`` for ARPACK's restart vectors, as
+    it does from SciPy 1.17 on.  Before, ARPACK draws them from its own
+    stream, which carries on from call to call."""
+    return "rng" in inspect.signature(eigsh).parameters
+
+
 def _extreme_eigvals(mat, k: int, which: str) -> np.ndarray:
     """``k`` extreme eigenvalues of a symmetric sparse matrix or operator,
-    ascending.  ARPACK starts from a fixed vector and draws any restart
-    vector from a fixed stream (its own are random per call), so a call
-    gives the same value each time.  Below four states, where ARPACK cannot
-    run, and where it stalls on clustered extreme eigenvalues (a nearly
-    reducible chain), every eigenvalue of the dense matrix is returned
-    instead, up to ``DENSE_MAX_STATES`` states (:class:`DenseTooLarge` past
-    it)."""
+    ascending.  ARPACK starts from a fixed vector and, where ``eigsh`` takes
+    an ``rng``, draws any restart vector from a fixed stream (its own are
+    random per call), so a call gives the same value each time.  Below four
+    states, where ARPACK cannot run, and where it stalls on clustered
+    extreme eigenvalues (a nearly reducible chain), every eigenvalue of the
+    dense matrix is returned instead, up to ``DENSE_MAX_STATES`` states
+    (:class:`DenseTooLarge` past it)."""
     from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
     n = mat.shape[0]
@@ -145,8 +156,9 @@ def _extreme_eigvals(mat, k: int, which: str) -> np.ndarray:
         if n > 3:
             rng = philox_rng(0)
             v0 = rng.standard_normal(n)
-            return np.sort(eigsh(mat, k=k, which=which, v0=v0, rng=rng,
-                                 return_eigenvectors=False))
+            seeded = {"rng": rng} if _takes_rng(eigsh) else {}
+            return np.sort(eigsh(mat, k=k, which=which, v0=v0, return_eigenvectors=False,
+                                 **seeded))
     except ArpackNoConvergence:
         pass
     _check_dense(n)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import bisect
 import math
 import time
+from collections import Counter
 from collections.abc import Callable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -258,18 +259,13 @@ def _sample_index(rng: np.random.Generator, cdf: list[float]) -> int:
     return min(bisect.bisect_right(cdf, rng.random() * cdf[-1]), len(cdf) - 1)
 
 
-def _rejected_again(move: tuple, u: float | None) -> tuple[int, bool, bool] | None:
-    """The stay test of a remembered rejected move ``(y, log pi(y), log
-    alpha, bounded)`` (see :class:`Scan`), given its acceptance uniform
-    ``u``, which is drawn only when log alpha is finite.  ``None`` when u
-    falls below alpha: the move is then accepted or, below a bound, worked
-    out as a fresh proposal.  Otherwise the chain stays, and the counters
-    that adds: the scans reused (the carried scan at x, and the reverse scan
-    an exact rejection onto a positive-probability y had), a rejection for
-    zero probability and a rejection on the bound."""
+def _repeat_counts(move: tuple) -> tuple[int, bool, bool]:
+    """The counters a rejected repeat of the remembered move ``(y, log
+    pi(y), log alpha, bounded)`` (see :class:`Scan`) adds: the scans reused
+    (the carried scan at x, and the reverse scan an exact rejection onto a
+    positive-probability y had), a rejection for zero probability and a
+    rejection on the bound."""
     _, lp_y, log_alpha, bounded = move
-    if u is not None and math.log(u) < log_alpha:
-        return None
     return 1 + (not bounded and lp_y > -math.inf), log_alpha == -math.inf, bounded
 
 
@@ -284,8 +280,10 @@ def _transition(
 ) -> tuple[State, StepMeta, Scan | None]:
     """One transition from ``x``, given the scan at x if the previous step
     left it, or else the target's statistics at x if they are at hand.
-    Returns the next state, the step's record and the scan at the next
-    state: the scan at y when y is accepted, the scan at x otherwise.
+    ``rng`` needs the generator's ``random`` and, for the random walk, its
+    ``integers``; an informed step draws nothing else.  Returns the next
+    state, the step's record and the scan at the next state: the scan at y
+    when y is accepted, the scan at x otherwise.
 
     A move the scan at x remembers (see :class:`Scan`) is not worked out
     again unless it is accepted, which needs the scan at y.
@@ -316,12 +314,11 @@ def _transition(
     log_u = None
     if remembered is not None:
         y, lp_y, log_alpha, bounded = remembered
-        u = rng.random() if log_alpha > -math.inf else None
-        stay = _rejected_again(remembered, u)
-        if stay is not None:
-            return x, StepMeta(y, False, False, log_alpha, 0, x_log_pi, 0, stay[0],
+        # the acceptance uniform is drawn only when alpha is positive
+        if log_alpha == -math.inf or (log_u := math.log(rng.random())) >= log_alpha:
+            n_reused = _repeat_counts(remembered)[0]
+            return x, StepMeta(y, False, False, log_alpha, 0, x_log_pi, 0, n_reused,
                                bounded), sx
-        log_u = math.log(u)
         if not bounded:  # an exact rejection, accepted this time
             _, sy, _, n = _move(target, sx, j, y, spec)
             return y, StepMeta(y, True, False, log_alpha, n, lp_y, 1, 1), sy
@@ -357,58 +354,86 @@ def _transition(
     return x, StepMeta(y, False, False, log_alpha, n_evals, x_log_pi, n_scans, n_reused), sx
 
 
-def _stay_run(sx: Scan, spec: KernelSpec, rng: np.random.Generator, n_max: int):
+class _Uniforms:
+    """``rng.random()`` for a chain that draws nothing else, served from
+    blocks of ``rng.random(k)``, which holds the numbers k single draws
+    would.  ``us[t:]`` are the uniforms not yet drawn: a reader may look
+    ahead in them and draws those it moves ``t`` past."""
+
+    __slots__ = ("_rng", "us", "t")
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng, self.us, self.t = rng, [], 0
+
+    def ahead(self, k: int) -> list[float]:
+        """The block, with at least ``k`` undrawn uniforms from ``t`` on."""
+        if len(self.us) - self.t < k:
+            self.us = self.us[self.t:] + self._rng.random(max(k, 256)).tolist()
+            self.t = 0
+        return self.us
+
+    def random(self) -> float:
+        t = self.t
+        if t == len(self.us):
+            self.ahead(1)
+            t = 0
+        self.t = t + 1
+        return self.us[t]
+
+
+def _stay_run(sx: Scan, spec: KernelSpec, src: _Uniforms, n_max: int):
     """Settle up to ``n_max`` steps of a stay at ``sx.state`` under an
     informed kernel, as :func:`_transition` would, while each step proposes
     a move the carried scan remembers and rejects it again.
 
-    Uniforms are drawn in blocks of 16, doubling up to 1,024.  Each step
-    reads its lazy coin, its proposal (a bisect of ``sx.cdf``) and the stay
-    test of :func:`_rejected_again` from them, with no record but its flags.
-    The run stops at the first step it cannot settle (an unremembered move,
-    or a uniform below the remembered alpha), rewinds the generator and
-    redraws exactly the uniforms its settled steps used, so that
-    ``_transition`` takes that step with the draws it would have had.
-    Returns the settled steps' lazy-stay flags and the scans reused,
-    zero-probability rejections and bound rejections they add."""
-    saved = rng.bit_generator.state
-    cdf, get, lazy = sx.cdf, sx.moves.get, spec.lazy
-    top = cdf[-1]
-    lazies = []
-    reused = neg_inf = bounded = 0
-    us, t, n_drawn, size = [], 0, 0, 16
+    Each step reads its draws from the uniforms ahead in ``src``, in
+    ``_transition``'s order: the lazy coin, the proposal (the bisect of
+    ``sx.cdf`` that :func:`_sample_index` makes) and, for a move of positive
+    alpha, the acceptance uniform, which must not fall below the remembered
+    alpha.  The loop writes these out rather than call the helpers: a
+    helper call per step costs about as much as the rest of the step.  The
+    run stops before the first step it cannot settle (an unremembered move,
+    or a uniform below the remembered alpha), having drawn only the
+    uniforms of the steps it settled, so ``_transition`` takes that step
+    with the draws it would have had.  Returns the settled steps' lazy-stay
+    flags and the scans reused, zero-probability rejections and bound
+    rejections they add."""
+    cdf, moves, lazy = sx.cdf, sx.moves, spec.lazy
+    top, get, log = cdf[-1], moves.get, math.log
+    lazies, settled = [], []
+    us, t = src.us, src.t
     while len(lazies) < n_max:
-        if len(us) - t < 3:  # a step takes at most three uniforms
-            us = us[t:] + rng.random(size).tolist()
-            t, n_drawn, size = 0, n_drawn + size, min(2 * size, 1024)
+        if len(us) - t < 3:  # a step draws at most three uniforms
+            src.t = t
+            us, t = src.ahead(3), src.t
         s = t
         if lazy:
-            if us[s] < 0.5:
-                lazies.append(True)
-                t = s + 1
-                continue
             s += 1
+            if us[t] < 0.5:
+                lazies.append(True)
+                t = s
+                continue
         # an index past the last, which _sample_index clamps, is no move
         # remembered: the step is left to _transition
-        move = get(bisect.bisect_right(cdf, us[s] * top))
+        j = bisect.bisect_right(cdf, us[s] * top)
+        move = get(j)
         if move is None:
             break
-        u = None
+        s += 1
         if move[2] > -math.inf:
+            if log(us[s]) < move[2]:
+                break
             s += 1
-            u = us[s]
-        stay = _rejected_again(move, u)
-        if stay is None:
-            break
-        reused += stay[0]
-        neg_inf += stay[1]
-        bounded += stay[2]
+        settled.append(j)
         lazies.append(False)
-        t = s + 1
-    used = n_drawn - (len(us) - t)
-    if used < n_drawn:
-        rng.bit_generator.state = saved
-        rng.random(used)
+        t = s
+    src.t = t
+    reused = neg_inf = bounded = 0
+    for j, n in Counter(settled).items():
+        r, z, b = _repeat_counts(moves[j])
+        reused += n * r
+        neg_inf += n * z
+        bounded += n * b
     return lazies, reused, neg_inf, bounded
 
 
@@ -485,14 +510,19 @@ def run_chain(
     state, a move proposed again is read from that scan's memory of
     rejected moves instead of being worked out again.  Like ``step``, it
     rejects an informed proposal on the bound of :func:`_transition` when
-    it can, without the scan at the proposed state.  Under an informed
-    kernel, the steps of a stay that only repeat remembered rejections are
-    settled in runs (:func:`_stay_run`).  Without ``keep_states`` the
-    trace's ``states`` is ``None`` and no state list is built.
+    it can, without the scan at the proposed state.  An informed chain
+    draws its uniforms in blocks (:class:`_Uniforms`), and once a step of a
+    stay repeats a rejection the carried scan remembers, the steps after it
+    that do so too are settled in one run (:func:`_stay_run`).  Without
+    ``keep_states`` the trace's ``states`` is ``None`` and no state list is
+    built.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
     rng = philox_rng(seed)
+    informed = spec.family == INFORMED
+    if informed:  # an informed chain draws nothing but uniforms
+        rng = _Uniforms(rng)
     stop_set = None
     if stop_at is not None:
         # model states are tuples; collections of stop states are sets/lists
@@ -519,21 +549,8 @@ def run_chain(
     sx = None
     i = 0
     while i < n_steps and not (hit is not None and stop_early):
-        if sx is not None and sx.moves and sx.log_q is not None:
-            lazies, n_reused, n_neg_inf, n_bounded = _stay_run(sx, spec, rng, n_steps - i)
-            n = len(lazies)
-            if keep_states:
-                states += [x] * n
-            log_pis += [lp] * n
-            accepted += [False] * n
-            lazy_stays += lazies
-            reused += n_reused
-            neg_inf += n_neg_inf
-            bounded += n_bounded
-            i += n
-            if i == n_steps:
-                break
-        x, meta, sx = _transition(target, x, lp, sx, spec, rng, stats if sx is None else None)
+        n_moves = -1 if sx is None else len(sx.moves)
+        x, meta, sx = _transition(target, x, lp, sx, spec, rng, stats if n_moves < 0 else None)
         i += 1
         lp = meta.next_log_pi
         if keep_states:
@@ -546,9 +563,24 @@ def run_chain(
         scans += meta.n_scans
         neg_inf += meta.log_alpha == -math.inf
         bounded += meta.bounded
-        if meta.accepted and hit is None and stop_set is not None and x in stop_set:
-            hit = i
-            t_hit = time.perf_counter() - t0
+        if meta.accepted:
+            if hit is None and stop_set is not None and x in stop_set:
+                hit = i
+                t_hit = time.perf_counter() - t0
+        elif (informed and meta.proposal is not None and len(sx.moves) == n_moves
+              and i < n_steps):
+            # the step repeated a rejection the carried scan remembers
+            lazies, n_reused, n_neg_inf, n_bounded = _stay_run(sx, spec, rng, n_steps - i)
+            n = len(lazies)
+            if keep_states:
+                states += [x] * n
+            log_pis += [lp] * n
+            accepted += [False] * n
+            lazy_stays += lazies
+            reused += n_reused
+            neg_inf += n_neg_inf
+            bounded += n_bounded
+            i += n
     elapsed = time.perf_counter() - t0
     return ChainTrace(
         seed=seed,

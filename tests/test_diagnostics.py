@@ -11,7 +11,7 @@ from scipy import sparse
 
 import dense_oracle
 import toy
-from discretemh import varsel
+from discretemh import diagnostics, varsel
 from discretemh.core import (
     DegenerateSpace,
     DiscreteTarget,
@@ -185,6 +185,10 @@ print(repr([restricted_gap(chain, x0) for _ in range(4)]))
 
 
 def test_restricted_gap_repeats_within_and_across_processes(capsys):
+    from scipy.sparse.linalg import eigsh
+
+    if not diagnostics._takes_rng(eigsh):
+        pytest.skip("this eigsh takes no rng, so ARPACK's restarts follow its own stream")
     exec(SMALL_RESTRICTED_GAPS, {})
     here = capsys.readouterr().out.strip()
     src = Path(__file__).resolve().parents[1] / "src"
@@ -194,6 +198,25 @@ def test_restricted_gap_repeats_within_and_across_processes(capsys):
     gaps = ast.literal_eval(here)
     assert len(gaps) == 4 and len(set(gaps)) == 1
     assert there.stdout.strip() == here
+
+
+def test_eigsh_without_rng_runs_unseeded(monkeypatch):
+    # an eigsh without the rng argument (SciPy before 1.17) is called
+    # without it; a solve that never restarts gives the same bits either way
+    import scipy.sparse.linalg
+
+    real, calls = scipy.sparse.linalg.eigsh, []
+
+    def eigsh(A, k=6, which="LM", v0=None, return_eigenvectors=True):
+        calls.append(which)
+        return real(A, k=k, which=which, v0=v0, return_eigenvectors=return_eigenvectors)
+
+    mat = sparse.diags(np.linspace(0.0, 1.0, 40)).tocsr()
+    installed = diagnostics._extreme_eigvals(mat, 2, "LA")
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", eigsh)
+    without_rng = diagnostics._extreme_eigvals(mat, 2, "LA")
+    assert calls == ["LA"] and not diagnostics._takes_rng(eigsh)
+    assert without_rng.tobytes() == installed.tobytes()
 
 
 class TestTvAndHitting:

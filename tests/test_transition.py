@@ -216,6 +216,17 @@ def _assert_counted_exact_path(target, start, spec, n_steps, seed):
             == 2 * moves - trace.neg_inf_rejects)
 
 
+def test_uniform_blocks_give_single_draws():
+    # an informed chain's uniforms come in blocks, read one by one or looked
+    # ahead in; either way they are the generator's single draws, in order
+    src, ref = samplers._Uniforms(philox_rng(5)), philox_rng(5)
+    got = [src.random() for _ in range(250)]
+    ahead = src.ahead(10)[src.t:src.t + 10]  # past the first block's end
+    got += [src.random() for _ in range(300)]
+    assert got == [ref.random() for _ in range(550)]
+    assert ahead == got[250:260]
+
+
 def test_stay_runs_match_exact_path_at_every_budget(stay_runs):
     # the unclipped chain settles most of its steps in stay runs; some
     # budgets end inside one, the others on a step _transition takes
