@@ -656,16 +656,19 @@ def cmd_experiment(cfg: Resolved) -> int:
 
 def _select_x0(x0, chain) -> list | None:
     """The states of a restriction parsed by ``_x0``; None for all.  A
-    top-mass restriction takes the states in order of decreasing pi up to
-    the first at which their running total reaches the fraction."""
+    top-mass restriction takes the shortest run of states in order of
+    decreasing pi whose left-out mass, summed from the least probable state
+    up, is at most 1 - fraction: a fraction of 1 keeps every state with
+    pi > 0, however the masses round."""
     if x0 is None:
         return None
     kind, arg = x0
     if kind == "smax":
         return [s for s in chain.states if sum(s) <= arg]
     order = np.argsort(-chain.log_pis)
-    last = np.searchsorted(np.cumsum(chain.pi[order]), arg)
-    return [chain.states[i] for i in order[:last + 1]]
+    left_out = np.cumsum(chain.pi[order][::-1])[::-1]  # mass of order[k:]
+    keep = max(1, int(np.count_nonzero(left_out > 1.0 - arg)))
+    return [chain.states[i] for i in order[:keep]]
 
 
 def _auto_s(spec: KernelSpec, stats) -> float:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
+from scipy.linalg import get_lapack_funcs, toeplitz
 
 from .core import (
     DegenerateSpace,
@@ -106,7 +106,9 @@ class VarSelData:
                 raise NonFiniteData(f"{name} must be finite")
         if gram.shape != (self.p, self.p):
             raise ValueError("gram must be p x p")
-        if not np.allclose(gram, gram.T, atol=1e-8 * max(1.0, float(np.abs(gram).max()))):
+        # x'x is exactly symmetric; only another gram needs the tolerance
+        if not (gram == gram.T).all() and not np.allclose(
+                gram, gram.T, atol=1e-8 * max(1.0, float(np.abs(gram).max()))):
             raise InvalidGram("gram must be symmetric")
         if self.yty <= 0:
             raise ValueError("yty must be positive")
@@ -430,21 +432,33 @@ def varsel_target(
 
 
 def covariance_matrix(p: int, kind: str) -> np.ndarray:
-    """Design covariance: unit diagonal, exponentially decaying correlation."""
+    """Design covariance: unit diagonal, exponentially decaying correlation,
+    the Toeplitz matrix of one ``exp`` per lag."""
     if kind not in COVARIANCES:
         raise ValueError(f"unknown covariance kind {kind!r}")
-    idx = np.arange(p)
-    diff = np.abs(idx[:, None] - idx[None, :])
-    sigma = np.exp(-2.0 * diff) if kind == "moderate" else np.exp(-diff / 4.0)
-    np.fill_diagonal(sigma, 1.0)
-    return sigma
+    lag = np.arange(p)
+    return toeplitz(np.exp(-2.0 * lag) if kind == "moderate" else np.exp(-lag / 4.0))
+
+
+# The design factor is computed at 2**500 times its scale and scaled back.
+# A power of two scales normal numbers exactly, so the entries above the
+# floor keep the bits of the plain factor, and the scaled factor, which the
+# factorization reads back, has no subnormal entry.
+_FACTOR_SCALE = 2.0**500
+# Entries below this are set to zero: times a standard normal they are far
+# below half an ulp of any sum they enter, and as subnormals they would slow
+# every design product.
+_FACTOR_FLOOR = 2.0**-600
 
 
 @lru_cache(maxsize=8)
 def _design_factor(p: int, covariance: str) -> np.ndarray:
-    """Lower Cholesky factor of ``covariance_matrix(p, covariance)``, built
-    once per process for each pair and shared read-only by every dataset."""
-    chol = np.linalg.cholesky(covariance_matrix(p, covariance))
+    """Lower Cholesky factor of ``covariance_matrix(p, covariance)`` with its
+    entries below ``_FACTOR_FLOOR`` zeroed, built once per process for each
+    pair and shared read-only by every dataset."""
+    chol = np.linalg.cholesky(covariance_matrix(p, covariance) * _FACTOR_SCALE**2)
+    chol *= 1.0 / _FACTOR_SCALE
+    chol = np.where(np.abs(chol) < _FACTOR_FLOOR, 0.0, chol)
     chol.flags.writeable = False
     return chol
 
@@ -472,7 +486,7 @@ def generate_data(
         beta = default_signal(p, n)
     y = x @ beta + rng.standard_normal(n)
     data = VarSelData(gram=x.T @ x, xty=x.T @ y, yty=float(y @ y), n=n, p=p)
-    truth = tuple(int(b != 0) for b in beta)
+    truth = tuple((np.asarray(beta) != 0).astype(int).tolist())
     return data, truth
 
 

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -16,10 +17,13 @@ from discretemh.cli import (
     TABLE1_ERRATA,
     ConfigError,
     VarselFactory,
+    _select_x0,
     build_static_target,
+    build_transition_matrix,
     cmd_certify,
     cmd_diagnose,
     cmd_experiment,
+    enumerate_space,
     golden_example3,
     golden_example4,
     golden_example5,
@@ -647,6 +651,74 @@ class TestCertify:
         assert cmd_certify(cfg, "none") == 0
         out = capsys.readouterr().out
         assert "rho" in out and "n/a" in out
+
+
+def _p9_config(seed):
+    """Dataset ``seed`` of the p=9 certify benchmark."""
+    return {
+        "model": {"kind": "varsel", "p": 9, "n": 400, "covariance": "moderate",
+                  "g": "p^3", "kappa": 1.0},
+        "kernel": {"family": "informed", "ell": "p", "big_l": 127},
+        "run": {"seed": seed},
+    }
+
+
+TOP_MASS_CONFIGS = {
+    "example3": lambda: load_config(TEMPLATES / "certify-example3.yaml"),
+    "varsel-small": lambda: load_config(TEMPLATES / "certify-varsel-small.yaml"),
+    **{f"p9-{seed}": (lambda seed=seed: _p9_config(seed)) for seed in (7, 1007, 8, 1008)},
+}
+
+
+@pytest.fixture(scope="module")
+def lazy_chains():
+    chains = {}
+    for name, raw in TOP_MASS_CONFIGS.items():
+        cfg = resolve_config(raw())
+        target, _ = build_static_target(cfg)
+        states = enumerate_space(target, cfg.certify["enum_cap"])
+        chains[name] = build_transition_matrix(target, replace(cfg.spec, lazy=True), states)
+    return chains
+
+
+class TestTopMass:
+    """``certify.x0: top-mass:F`` keeps the shortest run of states in order
+    of decreasing pi whose left-out mass is at most 1 - F."""
+
+    @pytest.mark.parametrize("name", TOP_MASS_CONFIGS)
+    def test_fraction_one_keeps_every_state_with_mass(self, lazy_chains, name):
+        chain = lazy_chains[name]
+        kept = _select_x0(("top-mass", 1.0), chain)
+        assert sorted(kept) == sorted(s for s, pi in zip(chain.states, chain.pi) if pi > 0)
+
+    @pytest.mark.parametrize("name", [n for n in TOP_MASS_CONFIGS if n.startswith("p9")])
+    def test_fraction_within_rounding_of_one(self, lazy_chains, name):
+        # pi sums to 1 within about 1e-13 here, so the running total of pi
+        # from the top reached this fraction after all 512 states on dataset
+        # 7 and after 16 on the other three; the mass left out decides
+        chain = lazy_chains[name]
+        kept = _select_x0(("top-mass", 0.999999999999999), chain)
+        assert len(kept) == 16
+        order = np.argsort(-chain.log_pis)
+        assert [chain.states[i] for i in order[:16]] == kept
+        assert chain.pi[order[16:]].sum() <= 1e-15 < chain.pi[order[15:]].sum()
+
+    @pytest.mark.parametrize("name, counts", [
+        ("example3", (1, 1, 1, 1)), ("varsel-small", (1, 1, 2, 2)),
+        ("p9-7", (1, 1, 4, 5)), ("p9-1007", (1, 1, 4, 5)),
+        ("p9-8", (1, 1, 4, 5)), ("p9-1008", (1, 2, 4, 7)),
+    ])
+    def test_fractions_away_from_one_keep_the_running_total_selection(
+            self, lazy_chains, name, counts):
+        chain = lazy_chains[name]
+        order = np.argsort(-chain.log_pis)
+        for fraction, count in zip((0.5, 0.9, 0.99, 0.999), counts):
+            # the states in order of decreasing pi up to the first at which
+            # their running total reaches the fraction
+            last = np.searchsorted(np.cumsum(chain.pi[order]), fraction)
+            kept = _select_x0(("top-mass", fraction), chain)
+            assert kept == [chain.states[i] for i in order[:last + 1]]
+            assert len(kept) == count
 
 
 class TestDiagnose:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import data_oracle
 import scan_oracle
 from conftest import check_neighborhood_axioms
 from discretemh import varsel
@@ -324,10 +325,52 @@ class TestDataGeneration:
         assert (info.misses, info.hits) == (1, 1)
         assert not varsel._design_factor(40, "high").flags.writeable
         for seed, data in ((1, first), (2, second)):
-            rng = philox_rng(seed)
-            chol = np.linalg.cholesky(varsel.covariance_matrix(40, "high"))
-            x = rng.standard_normal((60, 40)) @ chol.T
-            assert data.gram.tobytes() == (x.T @ x).tobytes()
+            gram, _, _ = data_oracle.plain_statistics(40, 60, "high", seed)
+            assert data.gram.tobytes() == gram.tobytes()
+
+    @pytest.mark.parametrize("kind", varsel.COVARIANCES)
+    @pytest.mark.parametrize("p", [1, 5, 9, 12, 30, 200, 500, 1000])
+    def test_covariance_is_the_plain_form(self, p, kind):
+        # one exp per lag gives the bits of one exp per entry
+        assert (varsel.covariance_matrix(p, kind).tobytes()
+                == data_oracle.plain_covariance(p, kind).tobytes())
+
+    @pytest.mark.parametrize("kind", varsel.COVARIANCES)
+    @pytest.mark.parametrize("p", [5, 9, 12, 30, 200, 500])
+    def test_design_factor_is_the_plain_factor_zeroed(self, p, kind):
+        fast = varsel._design_factor(p, kind)
+        plain = data_oracle.plain_factor(p, kind)
+        assert fast.tobytes() == data_oracle.zeroed(plain, 2.0**-600).tobytes()
+        tiny = np.finfo(float).tiny
+        assert not ((fast != 0) & (np.abs(fast) < tiny)).any()
+        # the plain moderate factor at p=500 has subnormal entries; the fast one none
+        subnormal = bool(((plain != 0) & (np.abs(plain) < tiny)).any())
+        assert subnormal == ((p, kind) == (500, "moderate"))
+
+    def test_statistics_are_the_plain_statistics(self):
+        for seed in range(10):
+            data, truth = generate_data(500, 200, "moderate", seed=seed)
+            gram, xty, yty = data_oracle.plain_statistics(500, 200, "moderate", seed)
+            assert data.gram.tobytes() == gram.tobytes()
+            assert data.xty.tobytes() == xty.tobytes()
+            assert data.yty == yty
+            assert truth == (1,) * 5 + (0,) * 495
+
+    def test_exactly_symmetric_gram_skips_the_tolerance(self, monkeypatch):
+        monkeypatch.setattr(varsel.np, "allclose", None)  # calling it would fail
+        data = VarSelData(gram=np.array([[2.0, 0.5], [0.5, 1.0]]), xty=np.ones(2), yty=3.0,
+                          n=10, p=2)
+        assert data.gram[0, 1] == data.gram[1, 0]
+
+    @pytest.mark.parametrize("rel, ok", [(1e-12, True), (1e-3, False)])
+    def test_nearly_symmetric_gram_goes_through_the_tolerance(self, rel, ok):
+        gram = np.array([[2.0, 0.5], [0.5 * (1 + rel), 1.0]])
+        assert gram[0, 1] != gram[1, 0]
+        if ok:
+            VarSelData(gram=gram, xty=np.ones(2), yty=3.0, n=10, p=2)
+        else:
+            with pytest.raises(InvalidGram, match="gram must be symmetric"):
+                VarSelData(gram=gram, xty=np.ones(2), yty=3.0, n=10, p=2)
 
     @pytest.mark.parametrize("field, index", [("gram", 4), ("xty", 1), ("yty", None)])
     def test_non_finite_data_rejected_by_name(self, e3, field, index):
