@@ -73,7 +73,7 @@ class Flips(Sequence):
         return len(self.coords)
 
     def __getitem__(self, j: int) -> tuple:
-        return self._flip(int(self.coords[j]))
+        return self._flip(self.coords.item(j))
 
     def __iter__(self):
         return map(self._flip, self.coords.tolist())

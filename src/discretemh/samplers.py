@@ -168,7 +168,7 @@ def _reverse_index(sx: Scan, j: int, y: State, ny: Sequence) -> int:
     neighbor y; :class:`AsymmetricNeighborhood` if x is not among them."""
     try:
         if isinstance(sx.neighbors, Flips) and isinstance(ny, Flips):
-            return ny.position(int(sx.neighbors.coords[j]))
+            return ny.position(sx.neighbors.coords.item(j))
         return ny.index(sx.state)
     except ValueError:
         raise AsymmetricNeighborhood(
@@ -191,7 +191,7 @@ def _move(target: DiscreteTarget, sx: Scan, j: int, y: State, spec: KernelSpec):
     unscanned, and its scan is ``None``."""
     stats_y = None
     if sx.stats is not None:
-        stats_y = sx.stats.flip(sx.state, int(sx.neighbors.coords[j]))
+        stats_y = sx.stats.flip(sx.state, sx.neighbors.coords.item(j))
     if sx.log_pis is not None:
         lp_y, n_evals = float(sx.log_pis[j]), 0
     elif stats_y is not None:
@@ -487,6 +487,11 @@ class ChainTrace:
     elapsed_to_hit: float | None
 
 
+#: stop collections up to this size are searched by comparison, larger
+#: ones by hash
+_STOP_COMPARES = 8
+
+
 def run_chain(
     target: DiscreteTarget,
     init: State,
@@ -523,13 +528,15 @@ def run_chain(
     informed = spec.family == INFORMED
     if informed:  # an informed chain draws nothing but uniforms
         rng = _Uniforms(rng)
-    stop_set = None
+    stop = ()
     if stop_at is not None:
         # model states are tuples; collections of stop states are sets/lists
-        if isinstance(stop_at, (set, frozenset, list)):
-            stop_set = frozenset(stop_at)
-        else:
-            stop_set = frozenset([stop_at])
+        stop = frozenset(stop_at if isinstance(stop_at, (set, frozenset, list)) else [stop_at])
+        if len(stop) <= _STOP_COMPARES:
+            # ``in`` on a tuple compares with ==, which returns at the first
+            # entry that differs; a set hashes the whole state on every
+            # lookup, since tuples do not cache their hash
+            stop = tuple(stop)
 
     x = init
     # a target with statistics builds them once: log pi at the start is read
@@ -543,7 +550,7 @@ def run_chain(
     accepted = []
     lazy_stays = []
     evals = scans = reused = neg_inf = bounded = 0
-    hit = 0 if (stop_set is not None and x in stop_set) else None
+    hit = 0 if x in stop else None
     t0 = time.perf_counter()
     t_hit = 0.0 if hit is not None else None
     sx = None
@@ -564,7 +571,7 @@ def run_chain(
         neg_inf += meta.log_alpha == -math.inf
         bounded += meta.bounded
         if meta.accepted:
-            if hit is None and stop_set is not None and x in stop_set:
+            if hit is None and x in stop:
                 hit = i
                 t_hit = time.perf_counter() - t0
         elif (informed and meta.proposal is not None and len(sx.moves) == n_moves

@@ -6,13 +6,15 @@ pairs, so the collapsed log posterior needs only pair counts and edge
 counts.  Both are maintained incrementally under single-node flips through
 one per-node tally, each node's neighbours in block 1 (its neighbours in
 block 2 are its degree less that), and a vectorized scan evaluates all p
-flips at once for informed proposals.
+flips at once for informed proposals, reading its log-gamma values from a
+table built once per p.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln
@@ -59,11 +61,23 @@ class SbmData:
         return SbmData(adjacency=adj, p=adj.shape[0])
 
 
-def _pair_count(c: int) -> int:
-    return c * (c - 1) // 2
+def _pair_counts(c1: int, c2: int) -> tuple:
+    """Node pairs (1,1), (1,2), (2,2) of blocks with c1 and c2 nodes."""
+    return (c1 * (c1 - 1) // 2, c1 * c2, c2 * (c2 - 1) // 2)
 
 
-@dataclass(frozen=True)
+@lru_cache(maxsize=4)  # a run scans one size; a few sizes bound the memory
+def _log_gamma_table(p: int) -> np.ndarray:
+    """Read-only ``gammaln(k)`` for k = 0 ... p(p-1)/2 + 2, every argument
+    the beta terms of a p-node labelling take (4 MB at p=1000).  The values
+    are those of ``gammaln`` on the same floats, so a lookup gives the bits
+    a call would."""
+    table = gammaln(np.arange(p * (p - 1) // 2 + 3, dtype=float))
+    table.flags.writeable = False
+    return table
+
+
+@dataclass(frozen=True, slots=True)
 class BlockCounts:
     """Block sizes, pair/edge counts and each node's neighbours in block 1.
 
@@ -80,8 +94,7 @@ class BlockCounts:
 
     @property
     def n_pairs(self) -> tuple:
-        c1, c2 = self.sizes
-        return (_pair_count(c1), c1 * c2, _pair_count(c2))
+        return _pair_counts(*self.sizes)
 
     @property
     def tallies(self) -> np.ndarray:
@@ -100,7 +113,9 @@ class BlockCounts:
         return BlockCounts(data=data, sizes=(c1, data.p - c1), m_edges=(m11, m12, m22), d1=d1)
 
     def log_posterior(self) -> float:
-        n11, n12, n22 = self.n_pairs
+        c1, c2 = self.sizes
+        # _pair_counts written out: this runs once per random-walk step
+        n11, n12, n22 = c1 * (c1 - 1) // 2, c1 * c2, c2 * (c2 - 1) // 2
         m11, m12, m22 = self.m_edges
         g = gammaln(np.array([m11 + 1, n11 - m11 + 1, n11 + 2,
                               m12 + 1, n12 - m12 + 1, n12 + 2,
@@ -117,51 +132,51 @@ class BlockCounts:
 
         The pair and edge counts move by the node's tallies in O(1); the
         block-1 tallies move by the node's adjacency row, one vectorized add.
+        The result is filled in slot by slot: the dataclass ``__init__``
+        would double the cost of a random-walk flip.
         """
         data = self.data
         m11, m12, m22 = self.m_edges
         c1 = self.sizes[0]
-        d1 = int(self.d1[j])
-        d2 = int(data.degrees[j]) - d1
+        d1 = self.d1.item(j)
+        d2 = data.degrees.item(j) - d1
         if z[j] == 1:
             c1 -= 1
-            m11, m12, m22 = m11 - d1, m12 + d1 - d2, m22 + d2
+            m_edges = (m11 - d1, m12 + d1 - d2, m22 + d2)
             d1_after = self.d1 - data.adjacency[j]
         else:
             c1 += 1
-            m11, m12, m22 = m11 + d1, m12 - d1 + d2, m22 - d2
+            m_edges = (m11 + d1, m12 - d1 + d2, m22 - d2)
             d1_after = self.d1 + data.adjacency[j]
-        return BlockCounts(
-            data=data,
-            sizes=(c1, data.p - c1),
-            m_edges=(m11, m12, m22),
-            d1=d1_after,
-        )
+        after = object.__new__(BlockCounts)
+        _fill = object.__setattr__
+        _fill(after, "data", data)
+        _fill(after, "sizes", (c1, data.p - c1))
+        _fill(after, "m_edges", m_edges)
+        _fill(after, "d1", d1_after)
+        return after
 
     def flip_log_pis(self, z) -> np.ndarray:
         """Log posteriors of all p single-flip neighbors of ``z``, from the
-        node tallies in one vectorized pass."""
-        p = self.data.p
-        c1 = self.sizes[0]
-        m11, m12, m22 = self.m_edges
+        node tallies in one vectorized pass over the three block pairs, with
+        the log-gamma values read from :func:`_log_gamma_table`.
+
+        A node in block 1 moves to block 2 and one in block 2 to block 1, so
+        each block pair's edge count moves by plus or minus the node's
+        tallies, and its pair count takes one of two values."""
+        p, c1 = self.data.p, self.sizes[0]
         d1 = self.d1
         d2 = self.data.degrees - d1
         to2 = np.frombuffer(bytes(z), np.uint8) == 1  # nodes currently in block 1
-        c1_new = np.where(to2, c1 - 1, c1 + 1)
-        c2_new = p - c1_new
-        m11_new = np.where(to2, m11 - d1, m11 + d1)
-        m12_new = np.where(to2, m12 + d1 - d2, m12 - d1 + d2)
-        m22_new = np.where(to2, m22 + d2, m22 - d2)
-        n11_new = c1_new * (c1_new - 1) // 2
-        n12_new = c1_new * c2_new
-        n22_new = c2_new * (c2_new - 1) // 2
-
-        def beta_term(n_uv, m_uv):
-            return gammaln(m_uv + 1) + gammaln(n_uv - m_uv + 1) - gammaln(n_uv + 2)
-
-        return (beta_term(n11_new, m11_new) + beta_term(n22_new, m22_new)) + beta_term(
-            n12_new, m12_new
-        )
+        # row k holds block pair k's counts after each flip: (1,1), (1,2), (2,2)
+        m = np.array(self.m_edges)[:, None] + np.where(to2, 1, -1) * np.stack([-d1, d1 - d2, d2])
+        n_to2 = np.array(_pair_counts(c1 - 1, p - c1 + 1))[:, None]
+        n_to1 = np.array(_pair_counts(c1 + 1, p - c1 - 1))[:, None]
+        n = np.where(to2, n_to2, n_to1)
+        lg = _log_gamma_table(p)
+        t = lg[m + 1] + lg[n - m + 1] - lg[n + 2]
+        # within-block terms first, as in log_posterior
+        return (t[0] + t[2]) + t[1]
 
 
 def log_posterior_sbm(data: SbmData, z) -> float:

@@ -8,12 +8,14 @@ from scipy.integrate import quad
 from scipy.special import gammaln, logsumexp
 
 from conftest import check_neighborhood_axioms
+from discretemh import sbm
 from discretemh.core import (
     enumerate_space,
     philox_rng,
     unimodality_stats,
 )
 from discretemh.core import DiscreteMHError
+from discretemh.samplers import KernelSpec, run_chain
 from discretemh.sbm import (
     BlockCounts,
     InvalidGraph,
@@ -34,6 +36,33 @@ def three_array_log_posterior(counts: BlockCounts) -> float:
     n_uv, m_uv = np.array(counts.n_pairs), np.array(counts.m_edges)
     terms = gammaln(m_uv + 1) + gammaln(n_uv - m_uv + 1) - gammaln(n_uv + 2)
     return float((terms[0] + terms[2]) + terms[1])
+
+
+def gammaln_flip_log_pis(counts: BlockCounts, z) -> np.ndarray:
+    """Oracle: the log posteriors of all single flips of ``z`` with one
+    ``gammaln`` call per beta term argument, each pair count worked out per
+    node."""
+    p = counts.data.p
+    c1 = counts.sizes[0]
+    m11, m12, m22 = counts.m_edges
+    d1 = counts.d1
+    d2 = counts.data.degrees - d1
+    to2 = np.array(z) == 1
+    c1_new = np.where(to2, c1 - 1, c1 + 1)
+    c2_new = p - c1_new
+    m11_new = np.where(to2, m11 - d1, m11 + d1)
+    m12_new = np.where(to2, m12 + d1 - d2, m12 - d1 + d2)
+    m22_new = np.where(to2, m22 + d2, m22 - d2)
+    n11_new = c1_new * (c1_new - 1) // 2
+    n12_new = c1_new * c2_new
+    n22_new = c2_new * (c2_new - 1) // 2
+
+    def beta_term(n_uv, m_uv):
+        return gammaln(m_uv + 1) + gammaln(n_uv - m_uv + 1) - gammaln(n_uv + 2)
+
+    return (beta_term(n11_new, m11_new) + beta_term(n22_new, m22_new)) + beta_term(
+        n12_new, m12_new
+    )
 
 
 def rates_matrix_sbm(p: int, p_within: float, p_between: float, seed) -> np.ndarray:
@@ -188,6 +217,63 @@ class TestFlipUpdate:
         flipped = counts.flip(z, 0)  # node 0 has no edges
         assert flipped.m_edges == counts.m_edges
         assert flipped.n_pairs != counts.n_pairs
+
+
+class TestLogGammaTable:
+    def test_zoo_scans_equal_gammaln_oracle(self, fixture_zoo, zoo_enumerations):
+        for name in ("sbm-p6", "sbm-p7"):
+            target = fixture_zoo[name]
+            for z in zoo_enumerations[name]:
+                counts = target.stats_at(z)
+                got, want = counts.flip_log_pis(z), gammaln_flip_log_pis(counts, z)
+                assert got.tobytes() == want.tobytes(), (name, z)
+
+    def test_p1000_scans_equal_gammaln_oracle(self):
+        # the sbm-full-* model: corrupted starts, the truth, its mirror, and
+        # labellings with an empty or a one-node block
+        data, z_star = generate_sbm(1000, 0.1, 1e-8, seed=7)
+        rng = philox_rng(21)
+        states = [sbm_init(kind, z_star, rng) for kind in ("half-wrong", "third-wrong")
+                  for _ in range(8)]
+        states += [z_star, label_switched(z_star), (1,) * 1000, (2,) * 1000,
+                   (2,) + (1,) * 999, (1,) * 999 + (2,)]
+        for z in states:
+            counts = BlockCounts.from_labels(data, z)
+            got, want = counts.flip_log_pis(z), gammaln_flip_log_pis(counts, z)
+            assert got.tobytes() == want.tobytes()
+        assert len(states) >= 20
+
+    def test_built_once_per_p_and_read_only(self):
+        p = 23
+        data, z_star = generate_sbm(p, 0.5, 0.1, seed=4)
+        counts = BlockCounts.from_labels(data, z_star)
+        sbm._log_gamma_table.cache_clear()
+        counts.flip_log_pis(z_star)
+        counts.flip_log_pis(label_switched(z_star))
+        assert sbm._log_gamma_table.cache_info().misses == 1
+        table = sbm._log_gamma_table(p)
+        assert table is sbm._log_gamma_table(p)
+        assert table.shape == (p * (p - 1) // 2 + 3,) and not table.flags.writeable
+        assert table.tobytes() == gammaln(np.arange(len(table), dtype=float)).tobytes()
+        with pytest.raises(ValueError):
+            table[1] = 0.0
+
+    def test_random_walk_builds_no_table(self, monkeypatch):
+        calls = []
+        table = sbm._log_gamma_table
+
+        def recorded(p):
+            calls.append(p)
+            return table(p)
+
+        monkeypatch.setattr(sbm, "_log_gamma_table", recorded)
+        data, z_star = generate_sbm(1000, 0.1, 1e-8, seed=7)
+        target = sbm_target(data)
+        init = sbm_init("half-wrong", z_star, philox_rng(7))
+        run_chain(target, init, KernelSpec(), 40, 11, stop_at=z_star)
+        assert calls == []
+        run_chain(target, init, KernelSpec("informed", ell=1e-3, big_l=1e9), 2, 11)
+        assert calls and set(calls) == {1000}
 
 
 class TestGeneration:

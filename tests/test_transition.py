@@ -134,14 +134,19 @@ def test_reverse_free_bound_is_above_exact_ratio(fixture_zoo, zoo_enumerations, 
             assert bound >= acceptance_log_ratio(target, x, y, spec)
 
 
-def _template_replicate(name, index=0):
+def _template_case(name, index=0):
     """Replicate ``index`` of the packaged template ``name`` at seed 7: its
-    target, start, kernel and chain seed."""
+    target, start, kernel, chain seed and truth states."""
     template = Path(__file__).resolve().parents[1] / "src" / "discretemh" / "templates"
     cfg = resolve_config(load_config(template / f"{name}.yaml"), seed=7)
     data_seq, chain_seq = np.random.SeedSequence(7).spawn(index + 1)[index].spawn(2)
-    target, init, _ = make_factory(cfg)(index, data_seq)
-    return target, init, cfg.spec, chain_seq
+    target, init, truth = make_factory(cfg)(index, data_seq)
+    return target, init, cfg.spec, chain_seq, truth
+
+
+def _template_replicate(name, index=0):
+    """:func:`_template_case` without the truth states."""
+    return _template_case(name, index)[:4]
 
 
 def _assert_exact_path(target, start, spec, n_steps, seed):
@@ -317,6 +322,56 @@ def test_sbm_chain_builds_start_statistics_once(fixture_zoo, kernel):
     assert np.array_equal(trace.log_pis, ref["log_pis"])
     counters = ("evals", "scans", "scans_reused", "neg_inf_rejects", "bound_rejects")
     assert [getattr(trace, c) for c in counters] == [ref[c] for c in counters]
+
+
+def _first_hit(states, stop):
+    """Reference stop check: the first index whose state a set of the stop
+    states contains."""
+    stop = frozenset(stop)
+    return next((i for i, x in enumerate(states) if x in stop), None)
+
+
+@pytest.mark.parametrize("template, indices, n_steps", [
+    ("varsel-full-imh", range(3), 300), ("sbm-desk-rw", range(50), 700),
+])
+def test_hit_iteration_matches_set_lookup(template, indices, n_steps):
+    # run_chain compares states with a few stop states instead of hashing
+    # them; the first hit is the one a set lookup over the kept states finds
+    hits = []
+    for index in indices:
+        target, init, spec, seed, truth = _template_case(template, index)
+        full = run_chain(target, init, spec, n_steps, seed)
+        hit = _first_hit(full.states, truth)
+        hits.append(hit)
+        for stop_early in (False, True):
+            trace = run_chain(target, init, spec, n_steps, seed, stop_at=truth,
+                              stop_early=stop_early)
+            assert trace.hit_iteration == hit
+            end = hit if stop_early and hit is not None else n_steps
+            assert trace.states == full.states[:end + 1]
+            assert np.array_equal(trace.log_pis, full.log_pis[:end + 1])
+    assert any(hit is not None for hit in hits)
+    if template == "sbm-desk-rw":
+        assert None in hits
+
+
+def test_stop_states_in_any_form():
+    target, init, spec, seed, truth = _template_case("sbm-desk-rw", 0)
+    full = run_chain(target, init, spec, 700, seed)
+    hit = _first_hit(full.states, truth)
+    assert hit is not None
+    goal = full.states[hit]
+    twin = tuple(np.int64(v) for v in goal)  # equal to the goal, not the same object
+    assert twin == goal and twin is not goal and type(twin[0]) is not type(goal[0])
+    rng = philox_rng(3)
+    unvisited = {tuple(int(v) for v in rng.integers(1, 3, size=len(goal)))
+                 for _ in range(3 * samplers._STOP_COMPARES)} - set(full.states)
+    assert len(unvisited | truth) > samplers._STOP_COMPARES  # looked up by hash
+    for stop in (goal, {goal}, [goal], truth, list(truth), twin, [twin], unvisited | truth):
+        trace = run_chain(target, init, spec, 700, seed, stop_at=stop, stop_early=True)
+        assert trace.hit_iteration == hit
+    assert run_chain(target, init, spec, 700, seed, stop_at=unvisited).hit_iteration is None
+    assert run_chain(target, init, spec, 700, seed, stop_at=[]).hit_iteration is None
 
 
 def test_p1000_random_walk_chain_equals_stateless_steps():
