@@ -487,11 +487,6 @@ class ChainTrace:
     elapsed_to_hit: float | None
 
 
-#: stop collections up to this size are searched by comparison, larger
-#: ones by hash
-_STOP_COMPARES = 8
-
-
 def run_chain(
     target: DiscreteTarget,
     init: State,
@@ -532,11 +527,10 @@ def run_chain(
     if stop_at is not None:
         # model states are tuples; collections of stop states are sets/lists
         stop = frozenset(stop_at if isinstance(stop_at, (set, frozenset, list)) else [stop_at])
-        if len(stop) <= _STOP_COMPARES:
-            # ``in`` on a tuple compares with ==, which returns at the first
-            # entry that differs; a set hashes the whole state on every
-            # lookup, since tuples do not cache their hash
-            stop = tuple(stop)
+        # ``in`` on a tuple compares with ==, which returns at the first entry
+        # that differs; a set would hash the whole state on every lookup,
+        # since tuples do not cache their hash
+        stop = tuple(stop)
 
     x = init
     # a target with statistics builds them once: log pi at the start is read

@@ -66,18 +66,21 @@ def _pair_counts(c1: int, c2: int) -> tuple:
     return (c1 * (c1 - 1) // 2, c1 * c2, c2 * (c2 - 1) // 2)
 
 
-@lru_cache(maxsize=4)  # a run scans one size; a few sizes bound the memory
+@lru_cache(maxsize=1)  # an experiment scans one size; one table at a time
 def _log_gamma_table(p: int) -> np.ndarray:
     """Read-only ``gammaln(k)`` for k = 0 ... p(p-1)/2 + 2, every argument
-    the beta terms of a p-node labelling take (4 MB at p=1000).  The values
-    are those of ``gammaln`` on the same floats, so a lookup gives the bits
-    a call would."""
+    the beta terms of a p-node labelling take.  It holds about 4·p² bytes
+    (4 MB at p=1000), four fifths of what the graph's two adjacency copies
+    hold.  The values are those of ``gammaln`` on the same floats, so a
+    lookup gives the bits a call would."""
     table = gammaln(np.arange(p * (p - 1) // 2 + 3, dtype=float))
     table.flags.writeable = False
     return table
 
 
-@dataclass(frozen=True, slots=True)
+# not frozen, though nothing changes a BlockCounts once built: the frozen
+# __init__ takes twice as long, and a random-walk step builds one
+@dataclass(slots=True)
 class BlockCounts:
     """Block sizes, pair/edge counts and each node's neighbours in block 1.
 
@@ -113,9 +116,7 @@ class BlockCounts:
         return BlockCounts(data=data, sizes=(c1, data.p - c1), m_edges=(m11, m12, m22), d1=d1)
 
     def log_posterior(self) -> float:
-        c1, c2 = self.sizes
-        # _pair_counts written out: this runs once per random-walk step
-        n11, n12, n22 = c1 * (c1 - 1) // 2, c1 * c2, c2 * (c2 - 1) // 2
+        n11, n12, n22 = _pair_counts(*self.sizes)
         m11, m12, m22 = self.m_edges
         g = gammaln(np.array([m11 + 1, n11 - m11 + 1, n11 + 2,
                               m12 + 1, n12 - m12 + 1, n12 + 2,
@@ -132,8 +133,6 @@ class BlockCounts:
 
         The pair and edge counts move by the node's tallies in O(1); the
         block-1 tallies move by the node's adjacency row, one vectorized add.
-        The result is filled in slot by slot: the dataclass ``__init__``
-        would double the cost of a random-walk flip.
         """
         data = self.data
         m11, m12, m22 = self.m_edges
@@ -148,13 +147,7 @@ class BlockCounts:
             c1 += 1
             m_edges = (m11 + d1, m12 - d1 + d2, m22 - d2)
             d1_after = self.d1 + data.adjacency[j]
-        after = object.__new__(BlockCounts)
-        _fill = object.__setattr__
-        _fill(after, "data", data)
-        _fill(after, "sizes", (c1, data.p - c1))
-        _fill(after, "m_edges", m_edges)
-        _fill(after, "d1", d1_after)
-        return after
+        return BlockCounts(data, (c1, data.p - c1), m_edges, d1_after)
 
     def flip_log_pis(self, z) -> np.ndarray:
         """Log posteriors of all p single-flip neighbors of ``z``, from the
